@@ -128,8 +128,6 @@ def build_permutation_keypair(ps: ParameterSet, seed: bytes, qc: bool = True):
     g = h = None
     for attempt in range(RETRY_CAP):
         cand = _sample_generator(ps, stream.substream(b"ldgm-rows", attempt), qc)
-        if gf2.rank(cand) != ps.k:
-            continue
         try:
             h = derive_systematic_parity(cand)
         except InformationSetError:

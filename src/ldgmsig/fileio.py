@@ -6,7 +6,10 @@ are little-endian 32-bit, bit payloads are packed LSB-first within a
 byte, and every writer is deterministic, so identical seeds produce
 byte-identical files. Readers raise FormatError on anything that does
 not parse, including trailing bytes, so a truncated file is never
-mistaken for a short-but-valid one.
+mistaken for a short-but-valid one. Readers treat the bytes as hostile:
+each matrix header is checked against the shape its envelope's parameter
+set implies before any payload is read, and payloads are read in bounded
+chunks, so a size claimed by the file never becomes an allocation.
 """
 
 from __future__ import annotations
@@ -42,13 +45,23 @@ SEED_BYTES = 32
 KIND_DENSE = 0
 KIND_QC = 1
 
+READ_CHUNK = 1 << 20
+
 
 class FormatError(ValueError):
     """The bytes do not parse as the expected file format."""
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    raw = fh.read(count)
+    """count bytes; a count above READ_CHUNK is read a chunk at a time, so
+    that a size taken from the file costs no more memory than it holds."""
+    if count <= READ_CHUNK:
+        raw = fh.read(count)
+    else:
+        buf = bytearray()
+        while len(buf) < count and (more := fh.read(min(count - len(buf), READ_CHUNK))):
+            buf += more
+        raw = bytes(buf)
     if len(raw) != count:
         raise FormatError(f"truncated {what}: wanted {count} bytes, got {len(raw)}")
     return raw
@@ -110,7 +123,9 @@ def dump_matrix(fh, mat) -> None:
         fh.write(mat.data.tobytes())
 
 
-def load_matrix(fh):
+def load_matrix(fh, shape, what="matrix"):
+    """Read one matrix of the given (rows, cols); a header claiming any
+    other shape is rejected before the payload is read."""
     _expect_magic(fh, MATRIX_MAGIC, "matrix")
     kind = _read_u32(fh, "matrix kind")
     rows = _read_u32(fh, "matrix rows")
@@ -118,6 +133,9 @@ def load_matrix(fh):
     p = _read_u32(fh, "matrix block size")
     if min(rows, cols, p) < 1:
         raise FormatError(f"bad matrix header {rows}x{cols}, p={p}")
+    if (rows, cols) != tuple(shape):
+        raise FormatError(
+            f"{what} is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
     if kind == KIND_DENSE:
         if p != 1:
             raise FormatError(f"dense matrix with block size {p}")
@@ -156,12 +174,6 @@ def _parity_from_left(x, ps: ParameterSet):
     return DenseMatrix.from_bits(bits)
 
 
-def _check_shape(mat, rows: int, cols: int, what: str) -> None:
-    if (mat.rows, mat.cols) != (rows, cols):
-        raise FormatError(
-            f"{what} is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
-
-
 def _dump_private(fh, sk: PrivateKey) -> None:
     if len(sk.seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes")
@@ -180,16 +192,19 @@ def _load_private(fh) -> PrivateKey:
     _expect_magic(fh, SECRET_MAGIC, "private key")
     ps = _read_params(fh, "private key")
     seed = _read_exact(fh, SEED_BYTES, "private key seed")
-    g, x, a, b, t, s, s_inv, q_inv = (load_matrix(fh) for _ in range(8))
+    expected = (
+        ("generator", ps.k, ps.n),
+        ("parity left block", ps.r, ps.k),
+        ("constraint left factor", ps.z, ps.r),
+        ("constraint matrix", ps.z, ps.r),
+        ("sparse map", ps.r, ps.r),
+        ("scrambler", ps.n, ps.n),
+        ("scrambler inverse", ps.n, ps.n),
+        ("weight control inverse", ps.r, ps.r),
+    )
+    g, x, a, b, t, s, s_inv, q_inv = (
+        load_matrix(fh, (rows, cols), what) for what, rows, cols in expected)
     _no_trailing(fh, "private key")
-    _check_shape(g, ps.k, ps.n, "generator")
-    _check_shape(x, ps.r, ps.k, "parity left block")
-    _check_shape(a, ps.z, ps.r, "constraint left factor")
-    _check_shape(b, ps.z, ps.r, "constraint matrix")
-    _check_shape(t, ps.r, ps.r, "sparse map")
-    _check_shape(s, ps.n, ps.n, "scrambler")
-    _check_shape(s_inv, ps.n, ps.n, "scrambler inverse")
-    _check_shape(q_inv, ps.r, ps.r, "weight control inverse")
     qc = isinstance(g, QcMatrix)
     kinds = {isinstance(m, QcMatrix) for m in (g, x, t, s, s_inv, q_inv)}
     if len(kinds) != 1:
@@ -209,11 +224,9 @@ def _dump_public(fh, pk: PublicKey) -> None:
 def _load_public(fh) -> PublicKey:
     _expect_magic(fh, PUBLIC_MAGIC, "public key")
     ps = _read_params(fh, "public key")
-    h_prime = load_matrix(fh)
-    b = load_matrix(fh)
+    h_prime = load_matrix(fh, (ps.r, ps.n), "public parity check")
+    b = load_matrix(fh, (ps.z, ps.r), "constraint matrix")
     _no_trailing(fh, "public key")
-    _check_shape(h_prime, ps.r, ps.n, "public parity check")
-    _check_shape(b, ps.z, ps.r, "constraint matrix")
     return PublicKey(ps, h_prime, b, isinstance(h_prime, QcMatrix))
 
 

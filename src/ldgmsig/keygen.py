@@ -386,6 +386,11 @@ def generate_scrambler(ps: ParameterSet, stream: HashStream, qc: bool = True):
     all-ones vector lies in its kernel), so for even m_s one off-diagonal
     placement is dropped; every column weight stays <= m_s, which is all
     the verification bound relies on.
+
+    In quasi-cyclic mode S^-1 comes from QcMatrix.invert, which
+    eliminates [S^T | E] with only the n0 unit columns e_{i*p} in E and
+    so yields just the leading rows that the QC inverse is made of; it
+    never forms the dense n x n inverse.
     """
     if ps.m_s == 1:
         warnings.warn("column weight 1 makes the scrambler a bare permutation",
@@ -393,16 +398,10 @@ def generate_scrambler(ps: ParameterSet, stream: HashStream, qc: bool = True):
     for attempt in range(RETRY_CAP):
         sub = stream.substream(b"scrambler", attempt)
         s = _sample_scrambler(ps, sub, qc)
-        dense = s.expand() if qc else s
         try:
-            dense_inv = dense.invert()
+            return Scrambler(s, gf2.invert(s))
         except SingularMatrixError:
             continue
-        if qc:
-            s_inv = QcMatrix.fold_dense_rows(dense_inv.data[::ps.p], ps.n0, ps.p)
-        else:
-            s_inv = dense_inv
-        return Scrambler(s, s_inv)
     raise KeyGenerationError(f"no invertible scrambler in {RETRY_CAP} attempts")
 
 
@@ -454,8 +453,7 @@ def assemble(ps: ParameterSet, seed: bytes, qc: bool = True):
     for attempt in range(RETRY_CAP):
         sub = stream.substream(b"ldgm-rows", attempt)
         cand = _sample_generator(ps, sub, qc)
-        if gf2.rank(cand) != ps.k:
-            continue
+        # an invertible left k x k block also proves that G has rank k
         try:
             h = derive_systematic_parity(cand)
         except InformationSetError:

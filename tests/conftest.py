@@ -5,10 +5,20 @@ k x k block singular essentially always, so dense-path coverage uses a
 custom set with denser generator rows instead.
 """
 
-import pytest
+import struct
+import time
 
+import pytest
+from hypothesis import settings
+
+from ldgmsig.fileio import FORMAT_VERSION, MATRIX_MAGIC, PUBLIC_MAGIC
 from ldgmsig.keygen import assemble
 from ldgmsig.params import ParameterSet, get_params
+
+# property tests draw the same examples on every run, and a slow shared
+# machine must not turn a correct example into a deadline failure
+settings.register_profile("ldgmsig", derandomize=True, deadline=None)
+settings.load_profile("ldgmsig")
 
 CANON_SEED = bytes(range(32))
 
@@ -53,3 +63,21 @@ def dense_keys():
 @pytest.fixture(scope="session")
 def z2_keys():
     return assemble(Z2_SET, CANON_SEED)
+
+
+@pytest.fixture(scope="session")
+def ldgm80():
+    ps = get_params("ldgm-80")
+    start = time.perf_counter()
+    sk, pk = assemble(ps, CANON_SEED)
+    return sk, pk, time.perf_counter() - start
+
+
+def hostile_public_key() -> bytes:
+    """34-byte toy-1 public key whose dense matrix header claims
+    (2^31 - 1) x (2^31 - 1) and that holds no payload at all."""
+    name = b"toy-1"
+    huge = 2 ** 31 - 1
+    return (PUBLIC_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name
+            + MATRIX_MAGIC + bytes([FORMAT_VERSION])
+            + struct.pack("<4I", 0, huge, huge, 1))

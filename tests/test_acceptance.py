@@ -13,7 +13,6 @@ import types
 from math import comb
 
 import numpy as np
-import pytest
 
 from ldgmsig import fileio, gf2
 from ldgmsig.attacks import (
@@ -49,14 +48,6 @@ def report(num: int, failures: list, detail: str) -> None:
 def check(failures: list, ok: bool, text: str) -> None:
     if not ok:
         failures.append(text)
-
-
-@pytest.fixture(scope="session")
-def ldgm80():
-    ps = get_params("ldgm-80")
-    start = time.perf_counter()
-    sk, pk = assemble(ps, CANON_SEED)
-    return sk, pk, time.perf_counter() - start
 
 
 def test_c1_report_metrics():

@@ -15,7 +15,7 @@ from ldgmsig import fileio
 from ldgmsig.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from ldgmsig.sign import sign
 
-from conftest import CANON_SEED, GRAM_SEED
+from conftest import CANON_SEED, GRAM_SEED, hostile_public_key
 
 SEED_HEX = CANON_SEED.hex()
 
@@ -109,6 +109,19 @@ def test_verify_rejects_foreign_set_signature(workdir, capsys, toy_keys):
     assert run(["verify", "--key", str(pk_path), "--in", str(msg),
                 "--sig", "alien.sig"]) == EXIT_FAIL
     assert "ldgm-80" in capsys.readouterr().err
+
+
+def test_verify_hostile_public_key_is_usage_error(workdir, capsys):
+    sk_path, pk_path = keygen(workdir)
+    msg = workdir / "m.txt"
+    msg.write_bytes(b"x")
+    assert run(["sign", "--key", str(sk_path), "--in", str(msg),
+                "--out", "m.sig"]) == EXIT_OK
+    pk_path.write_bytes(hostile_public_key())
+    capsys.readouterr()
+    assert run(["verify", "--key", str(pk_path), "--in", str(msg),
+                "--sig", "m.sig"]) == EXIT_USAGE
+    assert "expected 12x24" in capsys.readouterr().err
 
 
 def test_missing_files_are_usage_errors(workdir, capsys):

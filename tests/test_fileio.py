@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from ldgmsig import fileio
 from ldgmsig.fileio import (
     FORMAT_VERSION,
     FormatError,
@@ -23,12 +24,14 @@ from ldgmsig.gf2 import DenseMatrix, QcMatrix
 from ldgmsig.keygen import PrivateKey
 from ldgmsig.sign import Signature, sign, verify
 
+from conftest import hostile_public_key
+
 
 def roundtrip_matrix(mat):
     buf = io.BytesIO()
     dump_matrix(buf, mat)
     buf.seek(0)
-    back = load_matrix(buf)
+    back = load_matrix(buf, (mat.rows, mat.cols))
     assert not buf.read(1)
     return back
 
@@ -61,10 +64,10 @@ def test_matrix_rejects_bad_header():
         lambda b: bytes(b[:-1]),                        # truncated payload
     ):
         with pytest.raises(FormatError):
-            load_matrix(io.BytesIO(mutate(raw)))
+            load_matrix(io.BytesIO(mutate(raw)), (4, 4))
     # extra bytes are the caller's problem: load_matrix must leave them
     buf = io.BytesIO(bytes(raw) + b"\x55")
-    load_matrix(buf)
+    load_matrix(buf, (4, 4))
     assert buf.read() == b"\x55"
 
 
@@ -75,14 +78,38 @@ def test_matrix_rejects_shape_lies():
     # p = 3 no longer divides the stored 8 x 8 dimensions
     raw[17:21] = struct.pack("<I", 3)
     with pytest.raises(FormatError):
-        load_matrix(io.BytesIO(raw))
+        load_matrix(io.BytesIO(raw), (8, 8))
     # dense kind must carry p = 1
     buf = io.BytesIO()
     dump_matrix(buf, DenseMatrix.identity(4))
     raw = bytearray(buf.getvalue())
     raw[17:21] = struct.pack("<I", 4)
     with pytest.raises(FormatError):
-        load_matrix(io.BytesIO(raw))
+        load_matrix(io.BytesIO(raw), (4, 4))
+
+
+def test_hostile_header_rejected_before_payload(tmp_path):
+    raw = hostile_public_key()
+    assert len(raw) == 34
+    path = tmp_path / "hostile.pk"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="expected 12x24"):
+        load_public_key(path)
+    # asked for that shape, the reader stops where the bytes end
+    huge = 2 ** 31 - 1
+    with pytest.raises(FormatError, match="truncated"):
+        load_matrix(io.BytesIO(raw[13:]), (huge, huge))
+
+
+def test_payload_read_in_chunks(monkeypatch):
+    monkeypatch.setattr(fileio, "READ_CHUNK", 3)
+    rng = np.random.default_rng(72)
+    mat = DenseMatrix.from_bits(rng.integers(0, 2, size=(5, 13), dtype=np.uint8))
+    assert roundtrip_matrix(mat) == mat
+    buf = io.BytesIO()
+    dump_matrix(buf, mat)
+    with pytest.raises(FormatError, match="wanted 10 bytes, got 9"):
+        load_matrix(io.BytesIO(buf.getvalue()[:-1]), (5, 13))
 
 
 def test_private_key_roundtrip(tmp_path, toy_keys):

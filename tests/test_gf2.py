@@ -6,6 +6,8 @@ QC results are checked against their expanded dense counterparts.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ldgmsig import gf2
 from ldgmsig.gf2 import (
@@ -15,7 +17,6 @@ from ldgmsig.gf2 import (
     QcMatrix,
     ShapeError,
     SingularMatrixError,
-    nullspace,
     solve,
 )
 
@@ -152,17 +153,11 @@ def test_rank_of_outer_product_is_two():
     assert a.transpose().mul_matrix(b).rank() == 2
 
 
-def test_solve_and_nullspace():
+def test_solve_recovers_vector():
     rng = np.random.default_rng(8)
     a, _ = random_invertible(rng, random_dense, 8, 8)
     v = BitVector.from_support(8, [2, 5])
     assert solve(a, a.mul_vec(v)) == v
-
-    wide = random_dense(rng, 5, 9)
-    basis = nullspace(wide)
-    assert len(basis) >= 9 - 5
-    for x in basis:
-        assert wide.mul_vec(x).weight() == 0
 
 
 def test_solve_reports_no_solution():
@@ -298,3 +293,125 @@ def test_generic_helpers_dispatch():
     other = random_qc(rng, 3, 2, 4)
     mixed = gf2.multiply(q, other.expand())
     assert mixed == q.expand().mul_matrix(other.expand())
+
+
+# ------------------------------------------------------ elimination kernels
+# The table kernel (Method of Four Russians) serves systems from
+# gf2.TABLE_MIN_ROWS rows up; here it runs at small shapes, called
+# directly or through solve with the threshold lowered, and must agree
+# with the per-pivot loop, the reference it replaces.
+
+@st.composite
+def bit_arrays(draw, square=False, min_rows=1):
+    """0/1 arrays up to 140 x 140: random (sparse or dense), made
+    rank-deficient, or, when square, made invertible."""
+    rows = draw(st.integers(min_rows, 140))
+    cols = rows if square else draw(st.integers(1, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(
+        ["random", "deficient"] + (["invertible"] if square else [])))
+    if kind == "invertible":
+        # unit lower times unit upper triangular, rows permuted
+        lower = np.tril(rng.integers(0, 2, (rows, rows)), -1) + np.eye(rows, dtype=int)
+        upper = np.triu(rng.integers(0, 2, (rows, rows)), 1) + np.eye(rows, dtype=int)
+        return ((lower @ upper) & 1)[rng.permutation(rows)].astype(np.uint8)
+    density = draw(st.sampled_from([0.05, 0.5]))
+    bits = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if kind == "deficient" and rows > 1:
+        bits[-1] = bits[0] ^ bits[rows // 2]
+    return bits
+
+
+def invertible_qc(rng, br, p):
+    """Block unit upper times block unit lower triangular: QC, invertible."""
+    upper, lower = random_qc(rng, br, br, p), random_qc(rng, br, br, p)
+    upper.first_rows[np.tril_indices(br)] = 0
+    lower.first_rows[np.triu_indices(br)] = 0
+    for i in range(br):
+        upper.first_rows[i, i, 0] = lower.first_rows[i, i, 0] = 1
+    return upper.multiply(lower)
+
+
+def both_kernels(work, ncols, reduce_above):
+    """(result, work) of the table kernel and of the per-pivot loop."""
+    out = []
+    for kernel in (gf2._eliminate_table, gf2._eliminate_pivots):
+        copy = work.copy()
+        out.append((kernel(copy, ncols, reduce_above), copy))
+    return out
+
+
+@given(bit_arrays(square=True))
+def test_table_kernel_inverts_like_pivot_loop(bits):
+    a = DenseMatrix.from_bits(bits)
+    n, width = a.rows, a.data.shape[1]
+    work = np.concatenate([a.data, DenseMatrix.identity(n).data], axis=1)
+    (table, table_work), (loop, loop_work) = both_kernels(work, n, True)
+    assert table == loop
+    # the left half ends in reduced echelon form, which is unique
+    assert np.array_equal(table_work[:, :width], loop_work[:, :width])
+    if loop[1] < n:
+        with pytest.raises(SingularMatrixError):
+            a.invert()
+        return
+    assert np.array_equal(table_work, loop_work)
+    assert DenseMatrix(n, n, table_work[:, width:]) == a.invert()
+
+
+@given(bit_arrays(), st.booleans())
+def test_table_kernel_ranks_like_pivot_loop(bits, reduce_above):
+    a = DenseMatrix.from_bits(bits)
+    (table, table_work), (loop, loop_work) = both_kernels(
+        a.data, a.cols, reduce_above)
+    assert table[1] == loop[1] == a.rank()
+    if reduce_above:
+        assert table == loop
+        assert np.array_equal(table_work, loop_work)
+
+
+@given(bit_arrays(min_rows=2), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_table_kernel_solves_like_pivot_loop(bits, consistent, seed):
+    a = DenseMatrix.from_bits(bits)
+    rng = np.random.default_rng(seed)
+    x = BitVector.from_support(
+        a.cols, np.flatnonzero(rng.integers(0, 2, a.cols)).tolist())
+    rhs = a.mul_vec(x)
+    if not consistent:
+        # a repeated row with a different right-hand side
+        bits = bits.copy()
+        bits[-1] = bits[0]
+        a = DenseMatrix.from_bits(bits)
+        flip = rhs.get(0) ^ 1
+        rhs = BitVector.from_support(a.rows, [i for i in rhs.support()
+                                              if i != a.rows - 1]
+                                     + ([a.rows - 1] if flip else []))
+    want = solve(a, rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "TABLE_MIN_ROWS", 1)
+        got = solve(a, rhs)
+    assert got == want
+    if consistent:
+        assert got is not None and a.mul_vec(got) == rhs
+    else:
+        assert got is None
+
+
+@given(st.sampled_from([1, 3, 4, 50]), st.data())
+def test_qc_invert_route_matches_dense_inverse(p, data):
+    # p = 50 from 6 blocks up reaches the table kernel (300 rows and more)
+    most = {1: 40, 3: 20, 4: 20, 50: 11}[p]
+    br = data.draw(st.one_of(st.integers(1, most), st.just(most)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):
+        a = invertible_qc(rng, br, p)
+    else:
+        a = random_qc(rng, br, br, p)
+    try:
+        want = a.expand().invert()
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            a.invert()
+        return
+    got = a.invert()
+    assert got.expand() == want
+    assert a.multiply(got) == QcMatrix.identity(br, p)
