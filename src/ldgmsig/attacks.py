@@ -27,17 +27,8 @@ import numpy as np
 
 from . import gf2
 from .digest import CounterExhausted, digest_message, map_to_syndrome
-from .gf2 import BitVector, DenseMatrix, SingularMatrixError
-from .keygen import (
-    InformationSetError,
-    KeyGenerationError,
-    PrivateKey,
-    PublicKey,
-    RETRY_CAP,
-    _sample_generator,
-    assemble_from_parts,
-    derive_systematic_parity,
-)
+from .gf2 import BitVector, DenseMatrix, QcMatrix, SingularMatrixError
+from .keygen import PrivateKey, PublicKey, assemble_from_parts, generate_systematic
 from .params import ParameterSet
 from .rng import HashStream, fresh_seed
 from .sign import Signature, sign_trace, verify
@@ -114,39 +105,34 @@ class AttackOutcome:
         return out
 
 
-def build_permutation_keypair(ps: ParameterSet, seed: bytes, qc: bool = True):
+def _permutation_grid(perm: np.ndarray) -> QcMatrix:
+    """Permutation matrix with its row-i bit at column perm[i], p = 1."""
+    grid = QcMatrix.zeros(perm.size, perm.size, 1)
+    grid.first_rows[np.arange(perm.size), perm, 0] = 1
+    return grid
+
+
+def build_permutation_keypair(ps: ParameterSet, seed: bytes):
     """Ablation key pair with Q = P1, S = P2 (both permutations).
 
     G and H are generated normally; the weight control degenerates to
     a permutation (a = b = 0, T = P1) and the scrambler to P2, so
-    H' = P1^T H P2^T. Returns (sk, pk, pi1, pi2) where pi1, pi2 give
-    row -> column of the set bit in P1, P2.
+    H' = P1^T H P2^T. A permutation of the n bits does not respect the
+    circulant blocks, so every matrix of this key is a p = 1 grid, G
+    and H regrouped from their blocks of p. Returns (sk, pk, pi1, pi2)
+    where pi1, pi2 give row -> column of the set bit in P1, P2.
     """
     if ps.m_t != 1:
         raise ValueError("permutation ablation needs m_t = 1")
     stream = HashStream(seed)
-    g = h = None
-    for attempt in range(RETRY_CAP):
-        cand = _sample_generator(ps, stream.substream(b"ldgm-rows", attempt), qc)
-        try:
-            h = derive_systematic_parity(cand)
-        except InformationSetError:
-            continue
-        g = cand
-        break
-    if g is None:
-        raise KeyGenerationError(f"no systematic generator in {RETRY_CAP} attempts")
+    g, h = generate_systematic(ps, stream)
     pi1 = np.asarray(stream.substream(b"perm-q").permutation(ps.r))
     pi2 = np.asarray(stream.substream(b"perm-s").permutation(ps.n))
-    p1 = DenseMatrix(ps.r, ps.r)
-    for i in range(ps.r):
-        p1.data[i, pi1[i] >> 3] |= 1 << (pi1[i] & 7)
-    p2 = DenseMatrix(ps.n, ps.n)
-    for i in range(ps.n):
-        p2.data[i, pi2[i] >> 3] |= 1 << (pi2[i] & 7)
+    p1, p2 = _permutation_grid(pi1), _permutation_grid(pi2)
     zeros = DenseMatrix(ps.z, ps.r)
-    sk, pk = assemble_from_parts(ps, seed, g, h, zeros, zeros, p1,
-                                 p1.transpose(), p2, p2.transpose(), qc=False)
+    sk, pk = assemble_from_parts(
+        ps, seed, QcMatrix.from_dense(g.expand()), QcMatrix.from_dense(h.expand()),
+        zeros, zeros, p1, p1.transpose(), p2, p2.transpose())
     return sk, pk, pi1, pi2
 
 

@@ -1,15 +1,18 @@
 """On-disk formats for keys and signatures.
 
-One shared container carries a matrix, dense or quasi-cyclic; three
-envelopes wrap it: private key, public key, signature. All integers
-are little-endian 32-bit, bit payloads are packed LSB-first within a
-byte, and every writer is deterministic, so identical seeds produce
-byte-identical files. Readers raise FormatError on anything that does
-not parse, including trailing bytes, so a truncated file is never
-mistaken for a short-but-valid one. Readers treat the bytes as hostile:
-each matrix header is checked against the shape its envelope's parameter
-set implies before any payload is read, and payloads are read in bounded
-chunks, so a size claimed by the file never becomes an allocation.
+One shared container carries a matrix in one of two kinds: quasi-cyclic
+(the key matrices G, X, T, S, S^-1, Q^-1 and H', with p = 1 for a plain
+binary grid) or dense (the z x r factors a and b). Three envelopes wrap
+it: private key, public key, signature. All integers are little-endian
+32-bit, bit payloads are packed LSB-first within a byte, and every
+writer is deterministic, so identical seeds produce byte-identical
+files. Readers raise FormatError on anything that does not parse,
+including trailing bytes, so a truncated file is never mistaken for a
+short-but-valid one. Readers treat the bytes as hostile: each matrix
+header is checked against the kind its envelope expects and the shape
+its parameter set implies before any payload is read, and payloads are
+read in bounded chunks, so a size claimed by the file never becomes an
+allocation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import struct
 import numpy as np
 
 from .gf2 import BitVector, DenseMatrix, QcMatrix
-from .keygen import PrivateKey, PublicKey
+from .keygen import PrivateKey, PublicKey, parity_from_left
 from .params import ParameterError, ParameterSet, get_params
 from .sign import Signature
 
@@ -44,6 +47,7 @@ SEED_BYTES = 32
 
 KIND_DENSE = 0
 KIND_QC = 1
+KIND_NAMES = {KIND_DENSE: "dense", KIND_QC: "quasi-cyclic"}
 
 READ_CHUNK = 1 << 20
 
@@ -111,23 +115,24 @@ def _no_trailing(fh, what: str) -> None:
 
 
 def dump_matrix(fh, mat) -> None:
+    """Write a DenseMatrix in the dense kind, a QcMatrix in the qc kind."""
     fh.write(MATRIX_MAGIC)
     fh.write(bytes([FORMAT_VERSION]))
-    if isinstance(mat, QcMatrix):
-        for value in (KIND_QC, mat.rows, mat.cols, mat.p):
-            _write_u32(fh, value)
-        fh.write(mat.first_rows.tobytes())
+    if isinstance(mat, DenseMatrix):
+        header, payload = (KIND_DENSE, mat.rows, mat.cols, 1), mat.data
     else:
-        for value in (KIND_DENSE, mat.rows, mat.cols, 1):
-            _write_u32(fh, value)
-        fh.write(mat.data.tobytes())
+        header, payload = (KIND_QC, mat.rows, mat.cols, mat.p), mat.first_rows
+    for value in header:
+        _write_u32(fh, value)
+    fh.write(payload.tobytes())
 
 
-def load_matrix(fh, shape, what="matrix"):
-    """Read one matrix of the given (rows, cols); a header claiming any
-    other shape is rejected before the payload is read."""
+def load_matrix(fh, shape, what="matrix", kind=None):
+    """Read one matrix of the given (rows, cols), and of the given kind
+    unless kind is None; a header claiming any other shape or kind is
+    rejected before the payload is read."""
     _expect_magic(fh, MATRIX_MAGIC, "matrix")
-    kind = _read_u32(fh, "matrix kind")
+    stored = _read_u32(fh, "matrix kind")
     rows = _read_u32(fh, "matrix rows")
     cols = _read_u32(fh, "matrix cols")
     p = _read_u32(fh, "matrix block size")
@@ -136,42 +141,31 @@ def load_matrix(fh, shape, what="matrix"):
     if (rows, cols) != tuple(shape):
         raise FormatError(
             f"{what} is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
-    if kind == KIND_DENSE:
+    if stored not in KIND_NAMES:
+        raise FormatError(f"unknown matrix kind {stored}")
+    if kind is not None and stored != kind:
+        raise FormatError(f"{what} is stored {KIND_NAMES[stored]}, "
+                          f"expected {KIND_NAMES[kind]}")
+    if stored == KIND_DENSE:
         if p != 1:
             raise FormatError(f"dense matrix with block size {p}")
         width = (cols + 7) // 8
         raw = _read_exact(fh, rows * width, "dense payload")
         data = np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
         return DenseMatrix(rows, cols, data)
-    if kind == KIND_QC:
-        if rows % p or cols % p:
-            raise FormatError(f"qc matrix {rows}x{cols} not divisible by p={p}")
-        width = (p + 7) // 8
-        br, bc = rows // p, cols // p
-        raw = _read_exact(fh, br * bc * width, "qc payload")
-        grid = np.frombuffer(raw, dtype=np.uint8).reshape(br, bc, width)
-        return QcMatrix(br, bc, p, grid)
-    raise FormatError(f"unknown matrix kind {kind}")
+    if rows % p or cols % p:
+        raise FormatError(f"qc matrix {rows}x{cols} not divisible by p={p}")
+    width = (p + 7) // 8
+    br, bc = rows // p, cols // p
+    raw = _read_exact(fh, br * bc * width, "qc payload")
+    grid = np.frombuffer(raw, dtype=np.uint8).reshape(br, bc, width)
+    return QcMatrix(br, bc, p, grid)
 
 
-def _left_block(parity, ps: ParameterSet):
-    """X from H = [X | I_r]."""
-    if isinstance(parity, QcMatrix):
-        return QcMatrix(ps.r0, ps.k0, ps.p, parity.first_rows[:, : ps.k0].copy())
-    return parity.take_columns(range(ps.k))
-
-
-def _parity_from_left(x, ps: ParameterSet):
-    """Rebuild H = [X | I_r]; the identity half is never stored."""
-    if isinstance(x, QcMatrix):
-        h = QcMatrix.zeros(ps.r0, ps.n0, ps.p)
-        h.first_rows[:, : ps.k0] = x.first_rows
-        for i in range(ps.r0):
-            h.first_rows[i, ps.k0 + i, 0] = 1
-        return h
-    bits = np.concatenate([x.to_bits(), DenseMatrix.identity(ps.r).to_bits()],
-                          axis=1)
-    return DenseMatrix.from_bits(bits)
+def _left_block(parity: QcMatrix) -> QcMatrix:
+    """X from H = [X | I_r]; the identity half is never stored."""
+    k0 = parity.block_cols - parity.block_rows
+    return QcMatrix(parity.block_rows, k0, parity.p, parity.first_rows[:, :k0])
 
 
 def _dump_private(fh, sk: PrivateKey) -> None:
@@ -181,7 +175,7 @@ def _dump_private(fh, sk: PrivateKey) -> None:
     fh.write(bytes([FORMAT_VERSION]))
     _write_name(fh, sk.ps.name)
     fh.write(sk.seed)
-    x = _left_block(sk.parity_check, sk.ps)
+    x = _left_block(sk.parity_check)
     for mat in (sk.generator, x, sk.lowrank_left, sk.constraints,
                 sk.sparse_map, sk.scrambler, sk.scrambler_inv,
                 sk.weight_ctrl_inv):
@@ -193,24 +187,20 @@ def _load_private(fh) -> PrivateKey:
     ps = _read_params(fh, "private key")
     seed = _read_exact(fh, SEED_BYTES, "private key seed")
     expected = (
-        ("generator", ps.k, ps.n),
-        ("parity left block", ps.r, ps.k),
-        ("constraint left factor", ps.z, ps.r),
-        ("constraint matrix", ps.z, ps.r),
-        ("sparse map", ps.r, ps.r),
-        ("scrambler", ps.n, ps.n),
-        ("scrambler inverse", ps.n, ps.n),
-        ("weight control inverse", ps.r, ps.r),
+        ("generator", ps.k, ps.n, KIND_QC),
+        ("parity left block", ps.r, ps.k, KIND_QC),
+        ("constraint left factor", ps.z, ps.r, KIND_DENSE),
+        ("constraint matrix", ps.z, ps.r, KIND_DENSE),
+        ("sparse map", ps.r, ps.r, KIND_QC),
+        ("scrambler", ps.n, ps.n, KIND_QC),
+        ("scrambler inverse", ps.n, ps.n, KIND_QC),
+        ("weight control inverse", ps.r, ps.r, KIND_QC),
     )
     g, x, a, b, t, s, s_inv, q_inv = (
-        load_matrix(fh, (rows, cols), what) for what, rows, cols in expected)
+        load_matrix(fh, (rows, cols), what, kind)
+        for what, rows, cols, kind in expected)
     _no_trailing(fh, "private key")
-    qc = isinstance(g, QcMatrix)
-    kinds = {isinstance(m, QcMatrix) for m in (g, x, t, s, s_inv, q_inv)}
-    if len(kinds) != 1:
-        raise FormatError("mixed dense/qc matrices in private key")
-    return PrivateKey(ps, seed, g, _parity_from_left(x, ps), a, b, t,
-                      q_inv, s, s_inv, qc)
+    return PrivateKey(ps, seed, g, parity_from_left(x), a, b, t, q_inv, s, s_inv)
 
 
 def _dump_public(fh, pk: PublicKey) -> None:
@@ -224,10 +214,10 @@ def _dump_public(fh, pk: PublicKey) -> None:
 def _load_public(fh) -> PublicKey:
     _expect_magic(fh, PUBLIC_MAGIC, "public key")
     ps = _read_params(fh, "public key")
-    h_prime = load_matrix(fh, (ps.r, ps.n), "public parity check")
-    b = load_matrix(fh, (ps.z, ps.r), "constraint matrix")
+    h_prime = load_matrix(fh, (ps.r, ps.n), "public parity check", KIND_QC)
+    b = load_matrix(fh, (ps.z, ps.r), "constraint matrix", KIND_DENSE)
     _no_trailing(fh, "public key")
-    return PublicKey(ps, h_prime, b, isinstance(h_prime, QcMatrix))
+    return PublicKey(ps, h_prime, b)
 
 
 def _dump_signature(fh, name: str, sig: Signature) -> None:

@@ -10,12 +10,15 @@ Layout conventions used throughout the package:
   first row cyclically shifted right by i, so multiplication of blocks
   is polynomial multiplication modulo x^p - 1;
 * a quasi-cyclic matrix is a grid of such blocks and stores only the
-  first rows (block_rows * block_cols * p bits of payload).
+  first rows (block_rows * block_cols * p bits of payload); with p = 1
+  every block is one bit, so the grid is a plain binary matrix.
 
-Dense matrices keep packed rows and operations are vectorized over
-numpy uint8 arrays.  Vectors that are much sparser than 1/64 are also
-handled as sorted index lists by the callers (signing works on supports,
-not on packed words).
+The key matrices are all quasi-cyclic.  Dense matrices keep packed rows
+and are the expanded form that elimination, products and the signer's
+caches work on; operations are vectorized over numpy uint8 arrays.
+Vectors that are much sparser than 1/64 are also handled as sorted
+index lists by the callers (signing works on supports, not on packed
+words).
 
 Gauss-Jordan elimination (behind invert, rank and solve) picks its kernel
 by the number of rows.  From TABLE_MIN_ROWS rows up it runs the Method of
@@ -162,12 +165,6 @@ class BitVector:
             raise ShapeError(f"xor of lengths {self.length} and {other.length}")
         return BitVector(self.length, self.data ^ other.data)
 
-    def concat(self, other: "BitVector") -> "BitVector":
-        bits = np.concatenate(
-            [_unpack(self.data, self.length), _unpack(other.data, other.length)]
-        )
-        return BitVector(self.length + other.length, _pack_bits(bits))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitVector)
@@ -231,10 +228,6 @@ class DenseMatrix:
 
     def copy(self) -> "DenseMatrix":
         return DenseMatrix(self.rows, self.cols, self.data)
-
-    def take_columns(self, idx) -> "DenseMatrix":
-        bits = self.to_bits()[:, np.asarray(idx, dtype=np.intp)]
-        return DenseMatrix.from_bits(bits)
 
     def weight(self) -> int:
         return int(np.bitwise_count(self.data).sum())
@@ -600,6 +593,11 @@ class QcMatrix:
         brows = leading.shape[0]
         bits = _unpack(leading, block_cols * p).reshape(brows, block_cols, p)
         return cls(brows, block_cols, p, _pack_bits(bits))
+
+    @classmethod
+    def from_dense(cls, m: DenseMatrix) -> "QcMatrix":
+        """The same matrix as a grid of 1 x 1 blocks (p = 1)."""
+        return cls.fold_dense_rows(m.data, m.cols, 1)
 
     def add(self, other: "QcMatrix") -> "QcMatrix":
         self._check_same_grid(other)

@@ -40,7 +40,6 @@ __all__ = [
     "security_report",
     "log2_int",
     "log2_binomial",
-    "log2_binomial_factors",
 ]
 
 KIB_BITS = 1024 * 8
@@ -156,16 +155,6 @@ def log2_int(v: int) -> float:
 
 def log2_binomial(n: int, k: int) -> float:
     return log2_int(math.comb(n, k))
-
-
-def log2_binomial_factors(n: int, k: int) -> float:
-    """Same value as log2_binomial, accumulated factor by factor."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial ({n}, {k}) out of range")
-    total = 0.0
-    for i in range(k):
-        total += math.log2(n - i) - math.log2(i + 1)
-    return total
 
 
 def key_size_bits(ps: ParameterSet) -> int:

@@ -39,7 +39,6 @@ __all__ = [
     "SignTrace",
     "VerifyResult",
     "REDRAW_CAP",
-    "select_codeword",
     "sign",
     "sign_trace",
     "verify",
@@ -101,13 +100,6 @@ def _select_rows(rows: np.ndarray, s: BitVector, theta: int, ps):
         if c.weight() > floor:
             return c, redraw
     raise SigningError(f"no acceptable mask codeword in {REDRAW_CAP} redraws")
-
-
-def select_codeword(generator, s: BitVector, theta: int, ps) -> BitVector:
-    """Deterministic mask codeword for syndrome s and counter theta."""
-    dense = generator.expand() if isinstance(generator, gf2.QcMatrix) else generator
-    c, _ = _select_rows(dense.data, s, theta, ps)
-    return c
 
 
 def sign(sk: PrivateKey, message: bytes) -> Signature:

@@ -1,8 +1,9 @@
-"""Shared fixtures: one toy key pair per session plus a dense-path set.
+"""Shared fixtures: one toy key pair per session plus custom sets.
 
-toy-1 is quasi-cyclic; its sparse rows make the dense sampler's leftmost
-k x k block singular essentially always, so dense-path coverage uses a
-custom set with denser generator rows instead.
+DENSE_SET has block size p = 1, so its key matrices are plain binary
+grids of 1 x 1 blocks; its denser generator rows keep the leftmost
+k x k block invertible within the retry cap.  Z2_SET has two constraint
+rows.
 """
 
 import struct
@@ -57,7 +58,7 @@ def toy_keys_gram():
 
 @pytest.fixture(scope="session")
 def dense_keys():
-    return assemble(DENSE_SET, CANON_SEED, qc=False)
+    return assemble(DENSE_SET, CANON_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from ldgmsig.attacks import (
     support_decompose,
 )
 from ldgmsig.digest import CounterExhausted, digest_message, map_to_syndrome
-from ldgmsig.gf2 import BitVector, DenseMatrix
+from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PublicKey
 from ldgmsig.params import get_params
 from ldgmsig.sign import verify
@@ -141,8 +141,8 @@ def test_right_inverse_on_trivial_parity_check(toy):
     # forgery the padded target syndrome itself, weight w
     bits = np.concatenate([np.eye(toy.r, dtype=np.uint8),
                            np.zeros((toy.r, toy.k), dtype=np.uint8)], axis=1)
-    pk = PublicKey(toy, DenseMatrix.from_bits(bits),
-                   DenseMatrix.zeros(toy.z, toy.r), qc=False)
+    pk = PublicKey(toy, QcMatrix.from_dense(DenseMatrix.from_bits(bits)),
+                   DenseMatrix.zeros(toy.z, toy.r))
     out = right_inverse_forge(pk, b"trivial")
     s_hat = map_to_syndrome(digest_message(b"trivial", toy), 0, toy)
     assert out.details["syndrome_ok"]

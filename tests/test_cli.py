@@ -13,6 +13,7 @@ import pytest
 import ldgmsig
 from ldgmsig import fileio
 from ldgmsig.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from ldgmsig.keygen import PublicKey
 from ldgmsig.sign import sign
 
 from conftest import CANON_SEED, GRAM_SEED, hostile_public_key
@@ -122,6 +123,23 @@ def test_verify_hostile_public_key_is_usage_error(workdir, capsys):
     assert run(["verify", "--key", str(pk_path), "--in", str(msg),
                 "--sig", "m.sig"]) == EXIT_USAGE
     assert "expected 12x24" in capsys.readouterr().err
+
+
+def test_verify_dense_public_key_is_usage_error(workdir, capsys):
+    # H' written in the dense matrix kind is a format error, not a
+    # crash inside the verifier
+    sk_path, pk_path = keygen(workdir)
+    msg = workdir / "m.txt"
+    msg.write_bytes(b"x")
+    assert run(["sign", "--key", str(sk_path), "--in", str(msg),
+                "--out", "m.sig"]) == EXIT_OK
+    pk = fileio.load_public_key(pk_path)
+    fileio.save_public_key(
+        pk_path, PublicKey(pk.ps, pk.parity_check.expand(), pk.constraints))
+    capsys.readouterr()
+    assert run(["verify", "--key", str(pk_path), "--in", str(msg),
+                "--sig", "m.sig"]) == EXIT_USAGE
+    assert "public parity check is stored dense" in capsys.readouterr().err
 
 
 def test_missing_files_are_usage_errors(workdir, capsys):

@@ -10,6 +10,7 @@ from ldgmsig import fileio
 from ldgmsig.fileio import (
     FORMAT_VERSION,
     FormatError,
+    SECRET_MAGIC,
     SIGNATURE_MAGIC,
     dump_matrix,
     load_matrix,
@@ -21,7 +22,7 @@ from ldgmsig.fileio import (
     save_signature,
 )
 from ldgmsig.gf2 import DenseMatrix, QcMatrix
-from ldgmsig.keygen import PrivateKey
+from ldgmsig.keygen import PublicKey
 from ldgmsig.sign import Signature, sign, verify
 
 from conftest import hostile_public_key
@@ -118,7 +119,7 @@ def test_private_key_roundtrip(tmp_path, toy_keys):
     save_private_key(path, sk)
     back = load_private_key(path)
     assert back.ps.name == "toy-1"
-    assert back.qc and isinstance(back.generator, QcMatrix)
+    assert isinstance(back.generator, QcMatrix)
     assert back.generator == sk.generator
     assert back.parity_check == sk.parity_check
     assert back.constraints == sk.constraints
@@ -133,33 +134,46 @@ def test_private_key_roundtrip(tmp_path, toy_keys):
     assert second.read_bytes() == path.read_bytes()
 
 
-def test_dense_private_key_roundtrip(tmp_path, toy, toy_keys):
-    # the same key expanded to dense matrices signs identically and
-    # round-trips through the dense matrix kind
+def test_private_key_rejects_mixed_kinds(tmp_path, toy_keys):
+    # any one of the six key matrices stored in the dense kind is refused
     sk, _ = toy_keys
-    dense_sk = PrivateKey(
-        toy, sk.seed, sk.generator.expand(), sk.parity_check.expand(),
-        sk.lowrank_left, sk.constraints, sk.sparse_map.expand(),
-        sk.weight_ctrl_inv.expand(), sk.scrambler.expand(),
-        sk.scrambler_inv.expand(), qc=False)
-    path = tmp_path / "dense.sk"
-    save_private_key(path, dense_sk)
-    back = load_private_key(path)
-    assert not back.qc and isinstance(back.generator, DenseMatrix)
-    msg = b"dense twin"
-    assert sign(back, msg).e_prime == sign(sk, msg).e_prime
+    name = sk.ps.name.encode()
+    parts = [("generator", sk.generator),
+             ("parity left block", fileio._left_block(sk.parity_check)),
+             ("constraint left factor", sk.lowrank_left),
+             ("constraint matrix", sk.constraints), ("sparse map", sk.sparse_map),
+             ("scrambler", sk.scrambler), ("scrambler inverse", sk.scrambler_inv),
+             ("weight control inverse", sk.weight_ctrl_inv)]
 
+    def key_bytes(dense=None):
+        buf = io.BytesIO()
+        buf.write(SECRET_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name + sk.seed)
+        for what, mat in parts:
+            dump_matrix(buf, mat.expand() if what == dense else mat)
+        return buf.getvalue()
 
-def test_private_key_rejects_mixed_kinds(tmp_path, toy, toy_keys):
-    sk, _ = toy_keys
-    mixed = PrivateKey(
-        toy, sk.seed, sk.generator, sk.parity_check, sk.lowrank_left,
-        sk.constraints, sk.sparse_map, sk.weight_ctrl_inv,
-        sk.scrambler.expand(), sk.scrambler_inv.expand(), sk.qc)
     path = tmp_path / "mixed.sk"
-    save_private_key(path, mixed)
-    with pytest.raises(FormatError, match="mixed"):
-        load_private_key(path)
+    save_private_key(path, sk)
+    assert key_bytes() == path.read_bytes()
+    for what, mat in parts:
+        if isinstance(mat, DenseMatrix):
+            continue
+        path.write_bytes(key_bytes(dense=what))
+        with pytest.raises(FormatError,
+                           match=f"{what} is stored dense, expected quasi-cyclic"):
+            load_private_key(path)
+
+
+def test_public_key_rejects_dense_parity_check(tmp_path, toy_keys):
+    _, pk = toy_keys
+    path = tmp_path / "dense.pk"
+    save_public_key(path, PublicKey(pk.ps, pk.parity_check.expand(), pk.constraints))
+    with pytest.raises(FormatError, match="public parity check is stored dense"):
+        load_public_key(path)
+    grid_b = QcMatrix.from_dense(pk.constraints)
+    save_public_key(path, PublicKey(pk.ps, pk.parity_check, grid_b))
+    with pytest.raises(FormatError, match="constraint matrix is stored quasi-cyclic"):
+        load_public_key(path)
 
 
 def test_public_key_roundtrip(tmp_path, toy_keys):

@@ -57,11 +57,10 @@ def test_bitvector_from01_to01():
     assert v.to01() == "01101"
 
 
-def test_bitvector_xor_concat():
+def test_bitvector_xor():
     a = BitVector.from01("1100")
     b = BitVector.from01("0110")
     assert a.xor(b).to01() == "1010"
-    assert a.concat(b).to01() == "11000110"
 
 
 def test_bitvector_tail_masked():

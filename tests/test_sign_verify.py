@@ -12,7 +12,7 @@ from ldgmsig.sign import (
     REDRAW_CAP,
     Signature,
     SigningError,
-    select_codeword,
+    _select_rows,
     sign,
     sign_trace,
     verify,
@@ -55,7 +55,7 @@ def test_single_row_mask_when_ratio_is_one():
         rows[i, rng.choice(ps.n, size=ps.w_g, replace=False)] = 1
     g = DenseMatrix.from_bits(rows)
     s = BitVector.from_support(ps.r, [0, 5])
-    c = select_codeword(g, s, 0, ps)
+    c = _select_rows(g.data, s, 0, ps)[0]
     assert c.weight() == ps.w_g
     assert any(c == g.row(i) for i in range(ps.k))
 
@@ -68,7 +68,7 @@ def test_disjoint_rows_mask_has_full_weight():
         rows[i, 3 * i : 3 * i + 3] = 1
     g = DenseMatrix.from_bits(rows)
     for theta in range(4):
-        c = select_codeword(g, BitVector.from_support(ps.r, [1, 2]), theta, ps)
+        c = _select_rows(g.data, BitVector.from_support(ps.r, [1, 2]), theta, ps)[0]
         assert c.weight() == ps.w_c
 
 
@@ -82,7 +82,7 @@ def test_mask_redraw_cap_reported():
     rows[2, [0, 1, 3]] = 1  # xor of the three has weight 3 = w_c - 2 w_g
     g = DenseMatrix.from_bits(rows)
     with pytest.raises(SigningError, match=str(REDRAW_CAP)):
-        select_codeword(g, BitVector.from_support(ps.r, [0, 1]), 0, ps)
+        _select_rows(g.data, BitVector.from_support(ps.r, [0, 1]), 0, ps)[0]
 
 
 def test_sign_is_deterministic(toy_keys):
@@ -118,7 +118,7 @@ def test_identity_pipeline_exposes_padded_syndrome(toy, toy_keys):
     eye_n = QcMatrix.identity(toy.n0, toy.p)
     hook_sk, hook_pk = assemble_from_parts(
         toy, CANON_SEED, sk.generator, sk.parity_check, sk.lowrank_left,
-        sk.constraints, eye_r, eye_r, eye_n, eye_n, qc=True)
+        sk.constraints, eye_r, eye_r, eye_n, eye_n)
     for i in range(20):
         msg = b"hook-%d" % i
         sig, trace = sign_trace(hook_sk, msg, zero_mask=True)
@@ -194,7 +194,7 @@ def test_counter_exhaustion_propagates(toy, toy_keys):
     starved = PrivateKey(toy, sk.seed, sk.generator, sk.parity_check,
                          sk.lowrank_left, DenseMatrix.identity(toy.r),
                          sk.sparse_map, sk.weight_ctrl_inv, sk.scrambler,
-                         sk.scrambler_inv, sk.qc)
+                         sk.scrambler_inv)
     with pytest.raises(CounterExhausted):
         sign(starved, b"anything")
 
@@ -220,6 +220,5 @@ def test_verifier_only_needs_public_data(toy, toy_keys):
     msg = b"public data only"
     sig = sign(sk, msg)
     from ldgmsig.keygen import PublicKey
-    stripped = PublicKey(toy, pk.parity_check, DenseMatrix.zeros(toy.z, toy.r),
-                         pk.qc)
+    stripped = PublicKey(toy, pk.parity_check, DenseMatrix.zeros(toy.z, toy.r))
     assert verify(stripped, msg, sig).accepted
