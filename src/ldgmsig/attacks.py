@@ -213,9 +213,7 @@ def right_inverse_forge(pk: PublicKey, message: bytes,
     s_hat = map_to_syndrome(h, 0, ps)
     lifted = gf2.multiply(gram_inv, s_hat)
     f = BitVector(ps.n, gf2._rows_xor(pk.parity_rows(), lifted.support()))
-    parity = gf2._parity_rows(pk.parity_rows(), f.data)
-    syndrome_ok = np.packbits(parity.astype(np.uint8),
-                              bitorder="little").tobytes() == s_hat.to_bytes()
+    syndrome_ok = pk.parity_columns().mul_vec(f) == s_hat
     forged = Signature(0, f)
     verdict = verify(pk, message, forged)
     return AttackOutcome(

@@ -14,11 +14,21 @@ Layout conventions used throughout the package:
   every block is one bit, so the grid is a plain binary matrix.
 
 The key matrices are all quasi-cyclic.  Dense matrices keep packed rows
-and are the expanded form that elimination, products and the signer's
-caches work on; operations are vectorized over numpy uint8 arrays.
-Vectors that are much sparser than 1/64 are also handled as sorted
-index lists by the callers (signing works on supports, not on packed
-words).
+and are the expanded form that elimination and QC x QC products work
+on; operations are vectorized over numpy uint8 arrays.  A QC matrix
+times a vector never expands the matrix.  It takes one of two routes,
+each read straight from the first rows and each matched to how dense
+the vector is:
+
+* ColumnRotations, for a dense vector (verify's e' has about n/7
+  ones).  Column t of a circulant is its column 0 rotated by t, so
+  M v^T is the XOR, over the support of v, of the column 0 of each
+  block column, rotated: one rows-bit integer per support bit, and one
+  rotation per distinct t.
+* ColumnSupports, for a sparse one (the signer's T s, mask rows and
+  scrambler scatter touch at most m_t w + w_c positions).  A padded
+  table lists the rows where each column is 1, so M v^T is one gather
+  and one bincount parity over the support of v.
 
 Gauss-Jordan elimination (behind invert, rank and solve) picks its kernel
 by the number of rows.  From TABLE_MIN_ROWS rows up it runs the Method of
@@ -41,6 +51,8 @@ __all__ = [
     "DenseMatrix",
     "CirculantBlock",
     "QcMatrix",
+    "ColumnRotations",
+    "ColumnSupports",
     "multiply",
     "add",
     "transpose",
@@ -54,6 +66,11 @@ __all__ = [
 # [A | I], it takes 1.3-1.4x the per-pivot loop's time at 12-48 rows,
 # 1.03x at 128, 0.90x at 256 and 0.56x at 1024 (2-vCPU x86-64 VM)
 TABLE_MIN_ROWS = 256
+
+# unpacked bits (one byte each) that QcMatrix.expand holds per group of
+# block rows: a one-shot expand of ldgm-80's 9800 x 9800 S^T would hold
+# about 96 MB
+EXPAND_GROUP_BITS = 1 << 20
 
 
 class SingularMatrixError(ValueError):
@@ -96,6 +113,11 @@ def _rows_xor(data: np.ndarray, idx) -> np.ndarray:
     return np.bitwise_xor.reduce(data[idx], axis=0)
 
 
+def _support(v: BitVector) -> np.ndarray:
+    """Sorted positions of the ones of v, as an index array."""
+    return _unpack(v.data, v.length).nonzero()[0]
+
+
 def _parity_rows(data: np.ndarray, packed_vec: np.ndarray) -> np.ndarray:
     """Per-row parity of <row, vec> for packed rows; returns 0/1 bytes."""
     return (np.bitwise_count(data & packed_vec).sum(axis=1, dtype=np.int64) & 1).astype(
@@ -115,7 +137,9 @@ class BitVector:
         else:
             if data.shape != (_width(length),):
                 raise ShapeError(f"payload width {data.shape} for length {length}")
-            self.data = _mask_tail(data.astype(np.uint8, copy=True), length)
+            self.data = data.astype(np.uint8, copy=True)
+            if length & 7:
+                self.data[-1] &= (1 << (length & 7)) - 1
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
@@ -123,13 +147,13 @@ class BitVector:
 
     @classmethod
     def from_support(cls, length: int, support) -> "BitVector":
-        v = cls(length)
         idx = np.asarray(list(support), dtype=np.int64)
+        bits = np.zeros(length, dtype=np.uint8)
         if idx.size:
             if idx.min() < 0 or idx.max() >= length:
                 raise ValueError("support index out of range")
-            np.bitwise_or.at(v.data, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
-        return v
+            bits[idx] = 1
+        return cls(length, _pack_bits(bits))
 
     @classmethod
     def from01(cls, text: str) -> "BitVector":
@@ -225,9 +249,6 @@ class DenseMatrix:
 
     def to_bits(self) -> np.ndarray:
         return _unpack(self.data, self.cols)
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.rows, self.cols, self.data)
 
     def weight(self) -> int:
         return int(np.bitwise_count(self.data).sum())
@@ -545,19 +566,8 @@ class QcMatrix:
     @classmethod
     def identity(cls, block_rows: int, p: int) -> "QcMatrix":
         m = cls(block_rows, block_rows, p)
-        for i in range(block_rows):
-            m.first_rows[i, i, 0] = 1
-        return m
-
-    @classmethod
-    def from_blocks(cls, grid) -> "QcMatrix":
-        p = grid[0][0].p
-        m = cls(len(grid), len(grid[0]), p)
-        for i, brow in enumerate(grid):
-            for j, blk in enumerate(brow):
-                if blk.p != p:
-                    raise ShapeError("mixed block sizes")
-                m.first_rows[i, j] = blk.first_row.data
+        diag = np.arange(block_rows)
+        m.first_rows[diag, diag, 0] = 1
         return m
 
     def block(self, i: int, j: int) -> CirculantBlock:
@@ -566,25 +576,24 @@ class QcMatrix:
     def set_block(self, i: int, j: int, blk: CirculantBlock) -> None:
         self.first_rows[i, j] = blk.first_row.data
 
-    def _shift_index(self) -> np.ndarray:
-        return (np.arange(self.p)[None, :] - np.arange(self.p)[:, None]) % self.p
-
-    def expand_block_row(self, bi: int) -> np.ndarray:
-        """Packed dense rows of block-row bi (p x cols)."""
-        fr = _unpack(self.first_rows[bi], self.p)  # (bcols, p)
-        e = fr[:, self._shift_index()]  # (bcols, p, p): [j, t, s]
-        bits = e.transpose(1, 0, 2).reshape(self.p, self.cols)
-        return _pack_bits(bits)
-
     def leading_row(self, bi: int) -> BitVector:
         """Dense row bi*p (the first row of block-row bi)."""
         bits = _unpack(self.first_rows[bi], self.p).reshape(self.cols)
         return BitVector(self.cols, _pack_bits(bits))
 
     def expand(self) -> DenseMatrix:
+        """The dense matrix, built a group of block rows at a time so that
+        no step holds more than about EXPAND_GROUP_BITS unpacked bits."""
+        p = self.p
         out = DenseMatrix(self.rows, self.cols)
-        for bi in range(self.block_rows):
-            out.data[bi * self.p : (bi + 1) * self.p] = self.expand_block_row(bi)
+        shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p  # [t, s]
+        group = max(1, EXPAND_GROUP_BITS // (p * self.cols))
+        for b0 in range(0, self.block_rows, group):
+            fr = _unpack(self.first_rows[b0 : b0 + group], p)  # (g, bcols, p)
+            bits = fr[:, :, shift].transpose(0, 2, 1, 3)  # [g, t, j, s]
+            out.data[b0 * p : b0 * p + bits.shape[0] * p] = _pack_bits(
+                bits.reshape(-1, self.cols)
+            )
         return out
 
     @classmethod
@@ -627,24 +636,12 @@ class QcMatrix:
         return QcMatrix.fold_dense_rows(leading, other.block_cols, self.p)
 
     def mul_vec(self, v: BitVector) -> BitVector:
-        if self.cols != v.length:
-            raise ShapeError(f"{self.rows}x{self.cols} times length-{v.length}")
-        out = np.empty(self.rows, dtype=np.uint8)
-        for bi in range(self.block_rows):
-            out[bi * self.p : (bi + 1) * self.p] = _parity_rows(
-                self.expand_block_row(bi), v.data
-            )
-        return BitVector(self.rows, _pack_bits(out))
+        return ColumnRotations(self).mul_vec(v)
 
     def vec_mul(self, v: BitVector) -> BitVector:
         if self.rows != v.length:
             raise ShapeError(f"length-{v.length} times {self.rows}x{self.cols}")
-        acc = np.zeros(_width(self.cols), dtype=np.uint8)
-        for i in v.support():
-            bi, t = divmod(i, self.p)
-            row = self.expand_block_row(bi)[t] if t else self.leading_row(bi).data
-            acc = acc ^ row
-        return BitVector(self.cols, acc)
+        return ColumnRotations(self.transpose()).mul_vec(v)
 
     def rank(self) -> int:
         return self.expand().rank()
@@ -700,6 +697,86 @@ class QcMatrix:
             f"QcMatrix({self.rows}x{self.cols}, p={self.p}, "
             f"grid={self.block_rows}x{self.block_cols})"
         )
+
+
+class ColumnRotations:
+    """M v^T for a QC matrix M and a dense v, read from M's first rows.
+
+    Column t of a p x p circulant is its column 0 rotated down by t: bit
+    i moves to bit (i + t) mod p.  For each block column, column 0 of
+    its blocks, stacked over the block rows (block row bi in bits
+    [bi p, bi p + p)), is held as one Python integer of `rows` bits.
+    M v^T is the XOR, over the support of v, of those integers, each
+    rotated field by field by its t.  Rotation is linear, so the
+    integers are XORed per t first and each of the at most p sums is
+    rotated once, by two shifts under the field masks of t.  A support
+    bit costs one rows-bit XOR; nothing is expanded.
+    """
+
+    def __init__(self, m: QcMatrix):
+        p, br, bc = m.p, m.block_rows, m.block_cols
+        self.rows, self.cols, self.p = m.rows, m.cols, p
+        col0 = _unpack(m.first_rows, p)[:, :, -np.arange(p) % p]  # (br, bc, p)
+        stacked = _pack_bits(col0.transpose(1, 0, 2).reshape(bc, self.rows))
+        self.columns = [int.from_bytes(row.tobytes(), "little") for row in stacked]
+        # masks[t]: the bits i >= t of every field, where x << t lands,
+        # and the bits i < t, where x >> (p - t) lands
+        field = np.arange(p)
+        keep = _pack_bits(np.tile(field[None, :] >= field[:, None], (1, br)))
+        full = (1 << self.rows) - 1
+        self.masks = [(k, full ^ k) for k in (int.from_bytes(row.tobytes(), "little")
+                                                for row in keep)]
+
+    def sum_bytes(self, support) -> bytes:
+        """XOR of the columns in support (ints; a repeat cancels), packed
+        LSB-first as BitVector.to_bytes packs a vector."""
+        p, columns = self.p, self.columns
+        by_shift = [0] * p
+        for j in support:
+            bj, t = divmod(j, p)
+            by_shift[t] ^= columns[bj]
+        total = by_shift[0]
+        for t in range(1, p):
+            x = by_shift[t]
+            if x:
+                high, low = self.masks[t]
+                total ^= ((x << t) & high) | ((x >> (p - t)) & low)
+        return total.to_bytes(_width(self.rows), "little")
+
+    def mul_vec(self, v: BitVector) -> BitVector:
+        if self.cols != v.length:
+            raise ShapeError(f"{self.rows}x{self.cols} times length-{v.length}")
+        return BitVector.from_bytes(self.rows, self.sum_bytes(v.support()))
+
+
+class ColumnSupports:
+    """M v^T for a QC matrix M and a sparse v, read from M's first rows.
+
+    Row u of a circulant whose first row has a one at shift s holds that
+    one at column (u + s) mod p, so column t of block (bi, bj) is 1 at
+    rows bi*p + (t - s) mod p.  `table[j]` lists the rows where column j
+    is 1, padded with the sentinel `rows` to the largest column weight;
+    it is built from the (block row, block column, shift) triples of
+    the first rows, and M v^T is one gather and one bincount parity.
+    """
+
+    def __init__(self, m: QcMatrix):
+        p = m.p
+        self.rows, self.cols = m.rows, m.cols
+        # unpack only the nonzero bytes of the first rows: keys are sparse
+        bj, bi, byte = np.nonzero(m.first_rows.transpose(1, 0, 2))
+        hit, bit = np.nonzero(_unpack(m.first_rows[bi, bj, byte][:, None], 8))
+        bj, bi, s = bj[hit], bi[hit], 8 * byte[hit] + bit
+        counts = np.bincount(bj, minlength=m.block_cols)
+        slot = np.arange(bj.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        t = np.arange(p)
+        self.table = np.full((m.cols, counts.max(initial=0)), m.rows, dtype=np.int32)
+        self.table[bj[:, None] * p + t, slot[:, None]] = bi[:, None] * p + (t - s[:, None]) % p
+
+    def sum_columns(self, idx) -> np.ndarray:
+        """XOR of the columns idx as a 0/1 array; a repeated index cancels."""
+        counts = np.bincount(self.table[idx].ravel(), minlength=self.rows + 1)
+        return counts[: self.rows] & 1
 
 
 def _as_dense(m) -> DenseMatrix:

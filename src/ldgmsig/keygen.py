@@ -110,31 +110,28 @@ class PrivateKey:
         self.scrambler_inv = scrambler_inv
         self._gen_rows = None
         self._scr_cols = None
-        self._map_perm = None
+        self._map_cols = None
 
-    def generator_rows(self) -> np.ndarray:
-        """Packed dense rows of G, cached for mask selection."""
+    def generator_rows(self) -> gf2.ColumnSupports:
+        """Supports of the rows of G (the columns of G^T), built on first
+        use from G's first rows; the mask is the XOR of a few rows."""
         if self._gen_rows is None:
-            self._gen_rows = self.generator.expand().data
+            self._gen_rows = gf2.ColumnSupports(self.generator.transpose())
         return self._gen_rows
 
-    def scrambler_columns(self) -> np.ndarray:
-        """Packed rows of S^T (columns of S), cached for the e' gather."""
+    def scrambler_columns(self) -> gf2.ColumnSupports:
+        """Supports of the columns of S (the rows of S^T), built on first
+        use from S's first rows, for the scatter e' = (e + c) S^T."""
         if self._scr_cols is None:
-            self._scr_cols = self.scrambler.transpose().expand().data
+            self._scr_cols = gf2.ColumnSupports(self.scrambler)
         return self._scr_cols
 
-    def map_support(self, s: gf2.BitVector) -> list[int]:
-        """Support of T s; fast path when T is a permutation."""
-        t = self.sparse_map
-        if self._map_perm is None and self.ps.m_t == 1:
-            cols = np.argmax(t.expand().to_bits(), axis=1)
-            inv = np.empty(self.ps.r, dtype=np.int64)
-            inv[cols] = np.arange(self.ps.r)
-            self._map_perm = inv
-        if self._map_perm is not None:
-            return sorted(int(self._map_perm[i]) for i in s.support())
-        return gf2.multiply(t, s).support()
+    def map_support(self, s: gf2.BitVector) -> np.ndarray:
+        """Sorted support of T s, from the column supports of T (built on
+        first use): s is sparse, so T s is the parity of a few columns."""
+        if self._map_cols is None:
+            self._map_cols = gf2.ColumnSupports(self.sparse_map)
+        return self._map_cols.sum_columns(gf2._support(s)).nonzero()[0]
 
     def low_rank_part(self) -> QcMatrix:
         """Materialize R = a^T b on the grid of T: a and b are constant on
@@ -159,12 +156,22 @@ class PublicKey:
         # it (perfbench/test_checks.py) and nothing reads it
         self.qc = qc
         self._rows = None
+        self._columns = None
 
     def parity_rows(self) -> np.ndarray:
-        """Packed dense rows of H', cached for verification."""
+        """Packed dense rows of H', built on first use.  Verification never
+        reads them; they are the attacks' dense H' (the information-set
+        attacks' bit matrix and the right-inverse lift)."""
         if self._rows is None:
             self._rows = self.parity_check.expand().data
         return self._rows
+
+    def parity_columns(self) -> gf2.ColumnRotations:
+        """H' as the rotated column 0 of each block, built on first use
+        from the first rows, for the syndrome H' e'^T of verification."""
+        if self._columns is None:
+            self._columns = gf2.ColumnRotations(self.parity_check)
+        return self._columns
 
     def payload_bits(self) -> int:
         return self.parity_check.payload_bits()

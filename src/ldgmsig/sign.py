@@ -18,6 +18,15 @@ which holds because H' e'^T = Q^-1 H S^-1 S (e + c)^T = Q^-1 (s' + 0).
 
 Everything the signer draws is keyed by the syndrome and counter, so a
 signature is a deterministic function of (key, message).
+
+Both sides read the quasi-cyclic first rows; no key matrix is expanded.
+Each takes the gf2 route that suits how dense its operand is.  The
+signer's operands are sparse: s has w ones, the mask XORs w_c / w_g rows
+of G, and e + c has at most m_t w + w_c ones.  So T s, the mask and the
+scatter through S are each one gather and one bincount parity over a
+table of column supports (gf2.ColumnSupports), built on first use.  The
+verifier's e' is dense, about n/7 ones, so H' e'^T is the XOR of the
+rotated block columns of H' (gf2.ColumnRotations).
 """
 
 from __future__ import annotations
@@ -85,8 +94,9 @@ def _mask_stream(s: BitVector, theta: int, redraw: int) -> HashStream:
     return HashStream(key)
 
 
-def _select_rows(rows: np.ndarray, s: BitVector, theta: int, ps):
-    """Mask codeword: w_c / w_g generator rows keyed by (s, theta).
+def _select_rows(rows: gf2.ColumnSupports, s: BitVector, theta: int, ps):
+    """Mask codeword: w_c / w_g generator rows keyed by (s, theta); rows
+    holds the supports of the generator rows (PrivateKey.generator_rows).
 
     Row cancellations can only shed ones in pairs within a row's worth
     of overlap, so anything at or below w_c - 2 w_g signals a degenerate
@@ -95,10 +105,9 @@ def _select_rows(rows: np.ndarray, s: BitVector, theta: int, ps):
     floor = ps.w_c - 2 * ps.w_g
     for redraw in range(REDRAW_CAP):
         stream = _mask_stream(s, theta, redraw)
-        idx = stream.distinct(ps.mask_rows, rows.shape[0])
-        c = BitVector(ps.n, gf2._rows_xor(rows, idx))
-        if c.weight() > floor:
-            return c, redraw
+        bits = rows.sum_columns(stream.distinct(ps.mask_rows, rows.cols))
+        if np.count_nonzero(bits) > floor:
+            return BitVector(ps.n, gf2._pack_bits(bits)), redraw
     raise SigningError(f"no acceptable mask codeword in {REDRAW_CAP} redraws")
 
 
@@ -118,14 +127,15 @@ def sign_trace(sk: PrivateKey, message: bytes, *,
     h = digest_message(message, ps)
     pub = find_orthogonal(h, sk.constraints, ps)
     s = pub.s
-    mapped = BitVector.from_support(ps.r, sk.map_support(s))
-    e_support = [ps.k + i for i in mapped.support()]
+    mapped_support = sk.map_support(s)
+    mapped = BitVector.from_support(ps.r, mapped_support.tolist())
     if zero_mask:
         c, redraws = BitVector(ps.n), 0
     else:
         c, redraws = _select_rows(sk.generator_rows(), s, pub.theta, ps)
-    combined = sorted(set(e_support) ^ set(c.support()))
-    e_prime = BitVector(ps.n, gf2._rows_xor(sk.scrambler_columns(), combined))
+    # e + c as a list of positions: one in both cancels in the parity
+    positions = np.concatenate([ps.k + mapped_support, gf2._support(c)])
+    e_prime = BitVector(ps.n, gf2._pack_bits(sk.scrambler_columns().sum_columns(positions)))
     sig = Signature(pub.theta, e_prime)
     trace = SignTrace(s, pub.theta, pub.tries, mapped, c, redraws)
     return sig, trace
@@ -138,14 +148,13 @@ def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
         return VerifyResult(False, "format")
     if sig.e_prime.length != ps.n:
         return VerifyResult(False, "format")
-    if sig.e_prime.weight() > ps.sig_weight_bound:
+    support = sig.e_prime.support()
+    if len(support) > ps.sig_weight_bound:
         return VerifyResult(False, "weight")
     h = digest_message(message, ps)
     s_hat = map_to_syndrome(h, sig.theta, ps)
     if s_hat.weight() != ps.w:
         return VerifyResult(False, "digest-weight")
-    parity = gf2._parity_rows(pk.parity_rows(), sig.e_prime.data)
-    syndrome = np.packbits(parity.astype(np.uint8), bitorder="little")
-    if syndrome.tobytes() != s_hat.to_bytes():
+    if pk.parity_columns().sum_bytes(support) != s_hat.to_bytes():
         return VerifyResult(False, "syndrome")
     return VerifyResult(True)

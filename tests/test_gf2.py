@@ -414,3 +414,78 @@ def test_qc_invert_route_matches_dense_inverse(p, data):
     got = a.invert()
     assert got.expand() == want
     assert a.multiply(got) == QcMatrix.identity(br, p)
+
+
+# ------------------------------------------------- first-row products
+# ColumnRotations (verify) and ColumnSupports (sign) compute M v^T from
+# the first rows; the expanded dense matrix is their reference, and the
+# blockwise circulant expansion is the reference of the grouped expand.
+
+@st.composite
+def qc_grids(draw):
+    """QC matrices up to 4 x 4 blocks over p in {1, 3, 4, 50, 64, 65, 80,
+    100}: random first rows of some density (0 for the zero matrix), or
+    zero to three shifts in each block."""
+    p = draw(st.sampled_from([1, 3, 4, 50, 64, 65, 80, 100]))
+    br, bc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([None, 0.0, 0.05, 0.5, 1.0]))
+    if density is None:
+        bits = np.zeros((br, bc, p), dtype=np.uint8)
+        for i, j in np.ndindex(br, bc):
+            bits[i, j, rng.choice(p, size=int(rng.integers(0, min(p, 3) + 1)),
+                                  replace=False)] = 1
+    else:
+        bits = (rng.random((br, bc, p)) < density).astype(np.uint8)
+    return QcMatrix(br, bc, p, np.packbits(bits, axis=-1, bitorder="little"))
+
+
+def draw_vector(data, length):
+    """The empty vector, the all-ones vector or a random one."""
+    kind = data.draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "empty":
+        return BitVector(length)
+    if kind == "full":
+        return BitVector.from_support(length, range(length))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.random(length) < data.draw(st.sampled_from([0.02, 0.15, 0.5]))
+    return BitVector.from_support(length, np.flatnonzero(bits).tolist())
+
+
+@given(qc_grids(), st.data())
+def test_rotated_columns_multiply_like_expanded(m, data):
+    dense = m.expand()
+    v = draw_vector(data, m.cols)
+    want = dense.mul_vec(v)
+    rotations = gf2.ColumnRotations(m)
+    assert rotations.mul_vec(v) == want
+    assert m.mul_vec(v) == want
+    # a repeated column cancels
+    support = v.support()
+    rest = BitVector.from_support(m.cols, support[2:])
+    assert rotations.sum_bytes(support + support[:2]) == dense.mul_vec(rest).to_bytes()
+    u = draw_vector(data, m.rows)
+    assert m.vec_mul(u) == dense.vec_mul(u)
+
+
+@given(qc_grids(), st.data())
+def test_column_supports_sum_like_expanded(m, data):
+    bits = m.expand().to_bits()
+    idx = data.draw(st.one_of(
+        st.just([]), st.just(list(range(m.cols))),
+        st.lists(st.integers(0, m.cols - 1), max_size=40)))
+    # a repeated column cancels, as e and c overlapping do in the signer
+    want = bits[:, np.asarray(idx, dtype=np.intp)].sum(axis=1) & 1
+    assert np.array_equal(gf2.ColumnSupports(m).sum_columns(idx), want)
+
+
+@given(qc_grids(), st.sampled_from([1, 300, gf2.EXPAND_GROUP_BITS]))
+def test_grouped_expand_matches_blockwise_circulants(m, group_bits):
+    p = m.p
+    want = np.zeros((m.rows, m.cols), dtype=np.uint8)
+    for i, j in np.ndindex(m.block_rows, m.block_cols):
+        want[i * p:(i + 1) * p, j * p:(j + 1) * p] = m.block(i, j).expand().to_bits()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "EXPAND_GROUP_BITS", group_bits)
+        got = m.expand()
+    assert np.array_equal(got.to_bits(), want)

@@ -21,7 +21,7 @@ from ldgmsig.keygen import (
 )
 from ldgmsig.params import ParameterSet
 from ldgmsig.rng import HashStream
-from ldgmsig.sign import sign, verify
+from ldgmsig.sign import sign, sign_trace, verify
 
 from conftest import CANON_SEED, DENSE_SET, Z2_SET
 
@@ -251,8 +251,9 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
 
 
 def test_weight_three_sparse_map_round_trip():
-    # T is no permutation here: Q^-1 takes the general Woodbury route
-    # and signing maps s through T by a matrix product
+    # T is no permutation here: Q^-1 takes the general Woodbury route,
+    # and the signer's T s, read from T's column supports, must match
+    # the expanded product
     ps = dataclasses.replace(DENSE_SET, m_t=3).validate()
     sk, pk = assemble(ps, CANON_SEED)
     prod = gf2.multiply(sk.weight_ctrl(), sk.weight_ctrl_inv)
@@ -262,7 +263,9 @@ def test_weight_three_sparse_map_round_trip():
     assert np.array_equal(t.col_weights(), np.full(ps.r, 3))
     for i in range(30):
         msg = b"weight-three-%d" % i
-        assert verify(pk, msg, sign(sk, msg)).accepted
+        sig, trace = sign_trace(sk, msg)
+        assert trace.mapped == t.mul_vec(trace.syndrome)
+        assert verify(pk, msg, sig).accepted
 
 # SHA-256 of the key files saved from CANON_SEED, recorded with the
 # per-pivot dense elimination that keygen used before the table kernel

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ldgmsig import gf2
+from ldgmsig import fileio, gf2
 from ldgmsig.digest import CounterExhausted, digest_message, map_to_syndrome
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PrivateKey, assemble_from_parts
@@ -19,6 +19,11 @@ from ldgmsig.sign import (
 )
 
 from conftest import CANON_SEED
+
+
+def row_supports(g):
+    """The supports of g's rows, in the form PrivateKey.generator_rows has."""
+    return gf2.ColumnSupports(QcMatrix.from_dense(g).transpose())
 
 
 def embed(ps, mapped):
@@ -55,7 +60,7 @@ def test_single_row_mask_when_ratio_is_one():
         rows[i, rng.choice(ps.n, size=ps.w_g, replace=False)] = 1
     g = DenseMatrix.from_bits(rows)
     s = BitVector.from_support(ps.r, [0, 5])
-    c = _select_rows(g.data, s, 0, ps)[0]
+    c = _select_rows(row_supports(g), s, 0, ps)[0]
     assert c.weight() == ps.w_g
     assert any(c == g.row(i) for i in range(ps.k))
 
@@ -68,7 +73,7 @@ def test_disjoint_rows_mask_has_full_weight():
         rows[i, 3 * i : 3 * i + 3] = 1
     g = DenseMatrix.from_bits(rows)
     for theta in range(4):
-        c = _select_rows(g.data, BitVector.from_support(ps.r, [1, 2]), theta, ps)[0]
+        c = _select_rows(row_supports(g), BitVector.from_support(ps.r, [1, 2]), theta, ps)[0]
         assert c.weight() == ps.w_c
 
 
@@ -82,7 +87,22 @@ def test_mask_redraw_cap_reported():
     rows[2, [0, 1, 3]] = 1  # xor of the three has weight 3 = w_c - 2 w_g
     g = DenseMatrix.from_bits(rows)
     with pytest.raises(SigningError, match=str(REDRAW_CAP)):
-        _select_rows(g.data, BitVector.from_support(ps.r, [0, 1]), 0, ps)[0]
+        _select_rows(row_supports(g), BitVector.from_support(ps.r, [0, 1]), 0, ps)[0]
+
+
+def test_first_sign_and_verify_expand_no_key_matrix(toy_keys, tmp_path, monkeypatch):
+    # sign and verify read the quasi-cyclic first rows: a freshly loaded
+    # key pair signs and verifies without one dense expansion
+    sk, pk = toy_keys
+    fileio.save_private_key(tmp_path / "toy.sk", sk)
+    fileio.save_public_key(tmp_path / "toy.pk", pk)
+    expanded = []
+    expand = QcMatrix.expand
+    monkeypatch.setattr(QcMatrix, "expand",
+                        lambda self: expanded.append(self) or expand(self))
+    sig = sign(fileio.load_private_key(tmp_path / "toy.sk"), b"fresh key")
+    assert verify(fileio.load_public_key(tmp_path / "toy.pk"), b"fresh key", sig).accepted
+    assert expanded == []
 
 
 def test_sign_is_deterministic(toy_keys):
