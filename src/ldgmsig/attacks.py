@@ -182,15 +182,16 @@ def linearity_forge(pk: PublicKey, transcript: SignatureTranscript,
                          {"no_solution": True, "transcript": transcript.count})
 
 
-def right_inverse_gram(pk: PublicKey):
-    """(H' H'^T)^-1, the reusable half of the right-inverse forgery.
+def right_inverse_gram(pk: PublicKey) -> gf2.ColumnRotations:
+    """(H' H'^T)^-1, the reusable half of the right-inverse forgery, held
+    as the rotated columns that each forgery multiplies by.
 
     Raises SingularMatrixError when the Gram matrix is singular; the
     caller reports and stops, since other right-inverses exist but this
     construction does not reach them.
     """
     gram = gf2.multiply(pk.parity_check, gf2.transpose(pk.parity_check))
-    return gf2.invert(gram)
+    return gf2.ColumnRotations(gram.invert())
 
 
 def right_inverse_forge(pk: PublicKey, message: bytes,
@@ -211,7 +212,7 @@ def right_inverse_forge(pk: PublicKey, message: bytes,
             return AttackOutcome("rightinv", False, 1, {"gram_singular": True})
     h = digest_message(message, ps)
     s_hat = map_to_syndrome(h, 0, ps)
-    lifted = gf2.multiply(gram_inv, s_hat)
+    lifted = gram_inv.mul_vec(s_hat)
     f = BitVector(ps.n, gf2._rows_xor(pk.parity_rows(), lifted.support()))
     syndrome_ok = pk.parity_columns().mul_vec(f) == s_hat
     forged = Signature(0, f)
@@ -290,6 +291,33 @@ def _public_bits(pk: PublicKey) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=pk.ps.n, bitorder="little")
 
 
+class _InformationSets:
+    """Random size-k coordinate sets `info` of H' (as 0/1 bits) whose
+    complement `rest` leaves H'_rest invertible.
+
+    A singular H'_rest is redrawn without counting as an iteration; once
+    the redraws in all pass 50 budget + 50, next() gives None.
+    """
+
+    def __init__(self, bits: np.ndarray, k: int, stream: HashStream, budget: int):
+        self.bits, self.k, self.stream = bits, k, stream
+        self.columns = np.arange(bits.shape[1])
+        self.cap = 50 * budget + 50
+        self.redraws = 0
+
+    def next(self):
+        """(info, rest, H'_rest^-1), or None past the redraw cap."""
+        while True:
+            info = np.asarray(sorted(self.stream.distinct(self.k, self.columns.size)))
+            rest = np.setdiff1d(self.columns, info, assume_unique=True)
+            try:
+                return info, rest, DenseMatrix.from_bits(self.bits[:, rest]).invert()
+            except SingularMatrixError:
+                self.redraws += 1
+                if self.redraws > self.cap:
+                    return None
+
+
 def isd_codeword_strip(entry: tuple[BitVector, BitVector], pk: PublicKey,
                        budget: int, *, seed: bytes | None = None) -> AttackOutcome:
     """Strip the mask codeword from one signature by information sets.
@@ -314,19 +342,10 @@ def isd_codeword_strip(entry: tuple[BitVector, BitVector], pk: PublicKey,
             {"stripped_weight": e_prime.weight(), "bound": bound,
              "iterations": 0, "redraws": 0},
             recovered=e_prime)
-    all_cols = np.arange(ps.n)
+    sets = _InformationSets(bits, ps.k, stream, budget)
     iterations = 0
-    redraws = 0
-    while iterations < budget:
-        info = np.asarray(sorted(stream.distinct(ps.k, ps.n)))
-        rest = np.setdiff1d(all_cols, info, assume_unique=True)
-        try:
-            h_rest_inv = DenseMatrix.from_bits(bits[:, rest]).invert()
-        except SingularMatrixError:
-            redraws += 1
-            if redraws > 50 * budget + 50:
-                break
-            continue
+    while iterations < budget and (drawn := sets.next()) is not None:
+        info, rest, h_rest_inv = drawn
         iterations += 1
         rhs_bits = ((bits[:, info] @ e_bits[info]) & 1).astype(np.uint8)
         rhs = BitVector.from_bytes(
@@ -343,10 +362,10 @@ def isd_codeword_strip(entry: tuple[BitVector, BitVector], pk: PublicKey,
             return AttackOutcome(
                 "isdstrip", True, iterations,
                 {"stripped_weight": weight, "bound": bound,
-                 "iterations": iterations, "redraws": redraws},
+                 "iterations": iterations, "redraws": sets.redraws},
                 recovered=e_low)
     return AttackOutcome("isdstrip", False, iterations,
-                         {"iterations": iterations, "redraws": redraws,
+                         {"iterations": iterations, "redraws": sets.redraws,
                           "bound": bound})
 
 
@@ -366,7 +385,6 @@ def low_weight_row_recovery(pk: PublicKey, target_weight: int, budget: int,
                          "low-weight search is a toy-scale demonstration")
     stream = HashStream(seed if seed is not None else fresh_seed())
     bits = _public_bits(pk)
-    all_cols = np.arange(ps.n)
     found_bits: list[np.ndarray] = []
     found: list[BitVector] = []
 
@@ -377,25 +395,14 @@ def low_weight_row_recovery(pk: PublicKey, target_weight: int, budget: int,
             found.append(BitVector(ps.n, np.packbits(word_bits,
                                                      bitorder="little")))
 
+    sets = _InformationSets(bits, ps.k, stream, budget)
     work = 0
-    redraws = 0
-    while work < budget and len(found) < ps.k:
-        info = np.asarray(sorted(stream.distinct(ps.k, ps.n)))
-        rest = np.setdiff1d(all_cols, info, assume_unique=True)
-        try:
-            h_rest_inv = DenseMatrix.from_bits(bits[:, rest]).invert()
-        except SingularMatrixError:
-            redraws += 1
-            if redraws > 50 * budget + 50:
-                break
-            continue
+    while work < budget and len(found) < ps.k and (drawn := sets.next()) is not None:
+        info, rest, h_rest_inv = drawn
         # systematic generator: row t is the unit vector at info[t]
-        # completed on `rest` by x_t = H_rest^-1 (column info[t] of H')
-        unit_cols = DenseMatrix.from_bits(bits[:, info].T)  # row t = column info[t]
-        completion = np.unpackbits(
-            np.stack([h_rest_inv.mul_vec(unit_cols.row(t)).data
-                      for t in range(ps.k)]),
-            axis=1, count=ps.r, bitorder="little")
+        # completed on `rest` by x_t = H_rest^-1 (column info[t] of H'),
+        # column t of H_rest^-1 H'_info
+        completion = h_rest_inv.mul_matrix(DenseMatrix.from_bits(bits[:, info])).to_bits().T
         for t in range(ps.k):
             if work >= budget or len(found) >= ps.k:
                 break
@@ -423,5 +430,5 @@ def low_weight_row_recovery(pk: PublicKey, target_weight: int, budget: int,
     return AttackOutcome(
         "keyrec", success, work,
         {"independent_found": len(found), "needed": ps.k,
-         "target_weight": target_weight, "redraws": redraws},
+         "target_weight": target_weight, "redraws": sets.redraws},
         recovered=found if success else None)

@@ -31,6 +31,12 @@ EXIT_USAGE = 2
 ATTACKS = ("linearity", "rightinv", "decompose", "isdstrip", "keyrec")
 
 
+def _positive_int(text: str) -> int:
+    if (value := int(text)) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ldgmsig",
                                   description=__doc__.split("\n\n")[1])
@@ -66,10 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="parameter set name")
     p_attack.add_argument("--seed", help="64 hex chars; omitted = fresh "
                           "entropy, printed for reproducibility")
-    p_attack.add_argument("--budget", type=int,
+    p_attack.add_argument("--budget", type=_positive_int,
                           help="iteration/candidate budget "
                           "(isdstrip default 1000, keyrec default 10^6)")
-    p_attack.add_argument("--transcript", type=int,
+    p_attack.add_argument("--transcript", type=_positive_int,
                           help="signatures to collect (default 48, "
                           "decompose 32)")
     p_attack.add_argument("--artifacts", default=".",
@@ -136,6 +142,7 @@ def _cmd_verify(args) -> int:
 
 
 def _attack_outcome(args, ps, seed: bytes) -> attacks.AttackOutcome:
+    """Run one attack; a budget or transcript of None takes its default."""
     transcript = args.transcript
     attack_seed = hashlib.sha256(seed + b"/attack").digest()
     target = b"attack-target"
@@ -143,22 +150,22 @@ def _attack_outcome(args, ps, seed: bytes) -> attacks.AttackOutcome:
         sk, pk, _, _ = attacks.build_permutation_keypair(ps, seed)
         position = 0
         tr = attacks.SignatureTranscript.collect(
-            sk, transcript if transcript else 32, zero_mask=True,
+            sk, 32 if transcript is None else transcript, zero_mask=True,
             want=lambda s: position in s.support())
         return attacks.support_decompose(pk, tr, args.budget)
     sk, pk = keygen.assemble(ps, seed)
     if args.name == "linearity":
         tr = attacks.SignatureTranscript.collect(
-            sk, transcript if transcript else 48, zero_mask=True)
+            sk, 48 if transcript is None else transcript, zero_mask=True)
         return attacks.linearity_forge(pk, tr, target)
     if args.name == "rightinv":
         return attacks.right_inverse_forge(pk, target)
     if args.name == "isdstrip":
         tr = attacks.SignatureTranscript.collect(sk, 1)
-        budget = args.budget if args.budget else 1000
+        budget = 1000 if args.budget is None else args.budget
         return attacks.isd_codeword_strip(tr.pairs[0], pk, budget,
                                           seed=attack_seed)
-    budget = args.budget if args.budget else 10 ** 6
+    budget = 10 ** 6 if args.budget is None else args.budget
     return attacks.low_weight_row_recovery(pk, ps.w_g * ps.m_s, budget,
                                            seed=attack_seed)
 

@@ -1,4 +1,4 @@
-"""Bit-exact GF(2) vectors and matrices: dense, circulant, and quasi-cyclic.
+"""Bit-exact GF(2) vectors and matrices: dense and quasi-cyclic.
 
 Layout conventions used throughout the package:
 
@@ -6,19 +6,19 @@ Layout conventions used throughout the package:
   bit position i & 7 (numpy's bitorder='little');
 * the string form of a vector lists position 0 first, so support {0, 1}
   over length 6 prints as "110000";
-* a p x p circulant is represented by its first row, row i being the
-  first row cyclically shifted right by i, so multiplication of blocks
-  is polynomial multiplication modulo x^p - 1;
-* a quasi-cyclic matrix is a grid of such blocks and stores only the
-  first rows (block_rows * block_cols * p bits of payload); with p = 1
-  every block is one bit, so the grid is a plain binary matrix.
+* a quasi-cyclic matrix is a grid of p x p blocks, each the cyclic
+  shifts of its first row (row i is the first row shifted right by i),
+  and stores only the first rows (block_rows * block_cols * p bits of
+  payload); with p = 1 every block is one bit, so the grid is a plain
+  binary matrix.
 
 The key matrices are all quasi-cyclic.  Dense matrices keep packed rows
-and are the expanded form that elimination and QC x QC products work
-on; operations are vectorized over numpy uint8 arrays.  A QC matrix
-times a vector never expands the matrix.  It takes one of two routes,
-each read straight from the first rows and each matched to how dense
-the vector is:
+and are the expanded form that elimination works on; operations are
+vectorized over numpy uint8 arrays.  A QC matrix times a vector never
+expands the matrix, and neither does a QC x QC product: leading row i
+of A B is B^T times leading row i of A.  Each product takes one of two
+routes, each read straight from the first rows and each matched to how
+dense the vector is:
 
 * ColumnRotations, for a dense vector (verify's e' has about n/7
   ones).  Column t of a circulant is its column 0 rotated by t, so
@@ -49,7 +49,6 @@ __all__ = [
     "ShapeError",
     "BitVector",
     "DenseMatrix",
-    "CirculantBlock",
     "QcMatrix",
     "ColumnRotations",
     "ColumnSupports",
@@ -232,14 +231,6 @@ class DenseMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, vectors) -> "DenseMatrix":
-        vecs = list(vectors)
-        cols = vecs[0].length
-        if any(v.length != cols for v in vecs):
-            raise ShapeError("rows of unequal length")
-        return cls(len(vecs), cols, np.stack([v.data for v in vecs]))
-
-    @classmethod
     def from_bits(cls, bits: np.ndarray) -> "DenseMatrix":
         bits = np.asarray(bits, dtype=np.uint8)
         return cls(bits.shape[0], bits.shape[1], _pack_bits(bits))
@@ -298,7 +289,7 @@ class DenseMatrix:
 
     def rank(self) -> int:
         work = self.data.copy()
-        _, rk = _eliminate(work, self.cols, reduce_above=False)
+        _, rk = _eliminate(work, self.cols)
         return rk
 
     def invert(self) -> "DenseMatrix":
@@ -322,21 +313,20 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols}, weight={self.weight()})"
 
 
-def _eliminate(work, ncols, reduce_above=True):
+def _eliminate(work, ncols):
     """Gauss-Jordan on packed uint8 rows, in place.
 
     Pivots are searched in the first ncols columns only; augmented
-    columns ride along because whole packed rows are XORed.  With
-    reduce_above the pivot columns end as unit columns (reduced row
-    echelon form), otherwise only the rows below each pivot are cleared.
-    Returns (pivot column list, rank).
+    columns ride along because whole packed rows are XORed.  The pivot
+    columns end as unit columns (reduced row echelon form).  Returns
+    (pivot column list, rank).
     """
     if work.shape[0] >= TABLE_MIN_ROWS:
-        return _eliminate_table(work, ncols, reduce_above)
-    return _eliminate_pivots(work, ncols, reduce_above)
+        return _eliminate_table(work, ncols)
+    return _eliminate_pivots(work, ncols)
 
 
-def _eliminate_pivots(work, ncols, reduce_above=True):
+def _eliminate_pivots(work, ncols):
     """_eliminate one pivot at a time on the uint8 rows."""
     nrows = work.shape[0]
     pivots = []
@@ -354,13 +344,9 @@ def _eliminate_pivots(work, ncols, reduce_above=True):
             tmp = work[rk].copy()
             work[rk] = work[piv]
             work[piv] = tmp
-        if reduce_above:
-            allbits = (work[:, byte] >> bit) & 1
-            allbits[rk] = 0
-            sel = np.nonzero(allbits)[0]
-        else:
-            below = (work[rk + 1 :, byte] >> bit) & 1
-            sel = rk + 1 + np.nonzero(below)[0]
+        allbits = (work[:, byte] >> bit) & 1
+        allbits[rk] = 0
+        sel = np.nonzero(allbits)[0]
         if sel.size:
             work[sel] ^= work[rk]
         pivots.append(col)
@@ -368,7 +354,7 @@ def _eliminate_pivots(work, ncols, reduce_above=True):
     return pivots, rk
 
 
-def _eliminate_table(work, ncols, reduce_above=True):
+def _eliminate_table(work, ncols):
     """_eliminate by the Method of Four Russians on uint64 words.
 
     Columns go in groups of eight.  The group's pivots are found on a
@@ -418,16 +404,15 @@ def _eliminate_table(work, ncols, reduce_above=True):
         lookup = np.zeros(256, dtype=np.intp)
         lookup[code & mask] = np.arange(1 << m)
         words[start:rk, word:] = table[lookup[units]]
-        first = 0 if reduce_above else rk
-        index = lookup[octets[first:, byte] & mask]
-        index[max(start - first, 0) : rk - first] = 0
+        index = lookup[octets[:, byte] & mask]
+        index[start:rk] = 0
         rows = np.flatnonzero(index)
         if 2 * rows.size > index.size:
             # most rows change: XOR in place, without gathering them
-            tail = words[first:, word:]
+            tail = words[:, word:]
             np.bitwise_xor(tail, table[index], out=tail)
         else:
-            words[first + rows, word:] ^= table[index[rows]]
+            words[rows, word:] ^= table[index[rows]]
     work[:] = octets[:, :nbytes]
     return pivots, rk
 
@@ -450,84 +435,6 @@ def solve(a: DenseMatrix, rhs: BitVector) -> BitVector | None:
         if (aug[i, wbyte] >> 0) & 1:
             x.data[col >> 3] |= 1 << (col & 7)
     return x
-
-
-class CirculantBlock:
-    """p x p circulant held as its first row."""
-
-    def __init__(self, p: int, first_row: BitVector):
-        if first_row.length != p:
-            raise ShapeError(f"first row length {first_row.length} for p={p}")
-        self.p = p
-        self.first_row = first_row
-
-    @classmethod
-    def zero(cls, p: int) -> "CirculantBlock":
-        return cls(p, BitVector.zeros(p))
-
-    @classmethod
-    def identity(cls, p: int) -> "CirculantBlock":
-        return cls(p, BitVector.from_support(p, [0]))
-
-    @classmethod
-    def from_poly(cls, p: int, poly: int) -> "CirculantBlock":
-        if poly >> p:
-            raise ValueError("polynomial degree exceeds p")
-        raw = poly.to_bytes(_width(p), "little")
-        return cls(p, BitVector.from_bytes(p, raw))
-
-    def poly(self) -> int:
-        return int.from_bytes(self.first_row.to_bytes(), "little")
-
-    def is_zero(self) -> bool:
-        return self.poly() == 0
-
-    def is_identity(self) -> bool:
-        return self.poly() == 1
-
-    def expand(self) -> DenseMatrix:
-        fr = _unpack(self.first_row.data, self.p)
-        idx = (np.arange(self.p)[None, :] - np.arange(self.p)[:, None]) % self.p
-        return DenseMatrix.from_bits(fr[idx])
-
-    def add(self, other: "CirculantBlock") -> "CirculantBlock":
-        self._check(other)
-        return CirculantBlock(self.p, self.first_row.xor(other.first_row))
-
-    def multiply(self, other: "CirculantBlock") -> "CirculantBlock":
-        self._check(other)
-        p, mask = self.p, (1 << self.p) - 1
-        a, b, acc = self.poly(), other.poly(), 0
-        t = 0
-        while b:
-            if b & 1:
-                acc ^= ((a << t) | (a >> (p - t))) & mask if t else a
-            b >>= 1
-            t += 1
-        return CirculantBlock.from_poly(p, acc)
-
-    def transpose(self) -> "CirculantBlock":
-        bits = _unpack(self.first_row.data, self.p)
-        rev = np.concatenate([bits[:1], bits[:0:-1]])
-        return CirculantBlock(self.p, BitVector(self.p, _pack_bits(rev)))
-
-    def invert(self) -> "CirculantBlock":
-        inv = self.expand().invert()
-        return CirculantBlock(self.p, inv.row(0))
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ShapeError(f"block sizes {self.p} and {other.p}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CirculantBlock)
-            and self.p == other.p
-            and self.first_row == other.first_row
-        )
-
-    def __repr__(self):
-        return f"CirculantBlock(p={self.p}, first_row={self.first_row.to01()})"
 
 
 class QcMatrix:
@@ -569,17 +476,6 @@ class QcMatrix:
         diag = np.arange(block_rows)
         m.first_rows[diag, diag, 0] = 1
         return m
-
-    def block(self, i: int, j: int) -> CirculantBlock:
-        return CirculantBlock(self.p, BitVector(self.p, self.first_rows[i, j]))
-
-    def set_block(self, i: int, j: int, blk: CirculantBlock) -> None:
-        self.first_rows[i, j] = blk.first_row.data
-
-    def leading_row(self, bi: int) -> BitVector:
-        """Dense row bi*p (the first row of block-row bi)."""
-        bits = _unpack(self.first_rows[bi], self.p).reshape(self.cols)
-        return BitVector(self.cols, _pack_bits(bits))
 
     def expand(self) -> DenseMatrix:
         """The dense matrix, built a group of block rows at a time so that
@@ -624,15 +520,17 @@ class QcMatrix:
         )
 
     def multiply(self, other: "QcMatrix") -> "QcMatrix":
+        """A B from the leading rows: row bi*p of A B is B^T times row
+        bi*p of A, summed from the rotated columns of B^T."""
         if self.p != other.p:
             raise ShapeError(f"block sizes {self.p} and {other.p}")
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        dense_b = other.expand()
-        leading = np.empty((self.block_rows, _width(other.cols)), dtype=np.uint8)
-        for bi in range(self.block_rows):
-            sup = self.leading_row(bi).support()
-            leading[bi] = _rows_xor(dense_b.data, sup)
+        columns = ColumnRotations(other.transpose())
+        lead_bits = _unpack(self.first_rows, self.p).reshape(self.block_rows, self.cols)
+        leading = np.frombuffer(b"".join(
+            columns.sum_bytes(np.flatnonzero(row).tolist()) for row in lead_bits
+        ), dtype=np.uint8).reshape(self.block_rows, _width(other.cols))
         return QcMatrix.fold_dense_rows(leading, other.block_cols, self.p)
 
     def mul_vec(self, v: BitVector) -> BitVector:
@@ -714,18 +612,18 @@ class ColumnRotations:
     """
 
     def __init__(self, m: QcMatrix):
-        p, br, bc = m.p, m.block_rows, m.block_cols
+        p, bc = m.p, m.block_cols
         self.rows, self.cols, self.p = m.rows, m.cols, p
         col0 = _unpack(m.first_rows, p)[:, :, -np.arange(p) % p]  # (br, bc, p)
         stacked = _pack_bits(col0.transpose(1, 0, 2).reshape(bc, self.rows))
         self.columns = [int.from_bytes(row.tobytes(), "little") for row in stacked]
         # masks[t]: the bits i >= t of every field, where x << t lands,
-        # and the bits i < t, where x >> (p - t) lands
-        field = np.arange(p)
-        keep = _pack_bits(np.tile(field[None, :] >= field[:, None], (1, br)))
+        # and the bits i < t, where x >> (p - t) lands; `fields` holds
+        # bit 0 of every field
         full = (1 << self.rows) - 1
-        self.masks = [(k, full ^ k) for k in (int.from_bytes(row.tobytes(), "little")
-                                                for row in keep)]
+        fields = full // ((1 << p) - 1)
+        self.masks = [(high, full ^ high)
+                      for high in (((1 << p) - (1 << t)) * fields for t in range(p))]
 
     def sum_bytes(self, support) -> bytes:
         """XOR of the columns in support (ints; a repeat cancels), packed
@@ -791,8 +689,6 @@ def multiply(a, b):
         return a.mul_vec(b)
     if isinstance(a, QcMatrix) and isinstance(b, QcMatrix):
         return a.multiply(b)
-    if isinstance(a, CirculantBlock) and isinstance(b, CirculantBlock):
-        return a.multiply(b)
     return _as_dense(a).mul_matrix(_as_dense(b))
 
 
@@ -811,8 +707,6 @@ def invert(a):
 
 
 def rank(a) -> int:
-    if isinstance(a, CirculantBlock):
-        return a.expand().rank()
     return a.rank()
 
 

@@ -28,9 +28,12 @@ rejected before the first draw (see _sample_sparse_map).
 Inverting Q never eliminates an r x r system: with T invertible and
 R = a^T b of rank at most z, binary Woodbury gives
 Q^-1 = T^-1 + (T^-1 a^T) M^-1 (b T^-1) with M = I_z + b T^-1 a^T,
-a z x z matrix.  As a and b act block-constantly, M degenerates to
-I_z + (p mod 2) * (block-level product); for even p the matrix Q is
-unconditionally invertible.
+a z x z matrix.  A circulant times a block-constant vector is that
+vector times the circulant's weight mod 2, so T^-1 acts on a^T and b
+through T^-1(1), the r0 x r0 bit matrix of its block weights mod 2, for
+every m_t.  The update term is then constant on every block, and M
+degenerates to I_z + (p mod 2) * (block-level product); for even p the
+matrix Q is unconditionally invertible.
 """
 
 from __future__ import annotations
@@ -292,7 +295,7 @@ def _sample_sparse_map(ps, sub):
             col = sigma[(i + j) % size]
             shift = sub.below(ps.p)
             grid.first_rows[i, col, shift >> 3] ^= 1 << (shift & 7)
-    return grid, sigma
+    return grid
 
 
 def generate_weight_control(ps: ParameterSet, stream: HashStream):
@@ -306,10 +309,10 @@ def generate_weight_control(ps: ParameterSet, stream: HashStream):
     for attempt in range(RETRY_CAP):
         a_bits, b_bits = _sample_constraints(
             ps, stream.substream(b"constraints", attempt))
-        t, sigma = _sample_sparse_map(ps, stream.substream(b"sparse-map", attempt))
+        t = _sample_sparse_map(ps, stream.substream(b"sparse-map", attempt))
         try:
             t_inv = t.transpose() if ps.m_t == 1 else gf2.invert(t)
-            q_inv = _woodbury(ps, a_bits, b_bits, t, t_inv, sigma)
+            q_inv = _woodbury(ps, a_bits, b_bits, t_inv)
         except SingularMatrixError:
             continue
         return WeightControl(_expand_block_bits(a_bits, ps.p),
@@ -317,31 +320,21 @@ def generate_weight_control(ps: ParameterSet, stream: HashStream):
     raise KeyGenerationError(f"no invertible weight control in {RETRY_CAP} attempts")
 
 
-def _woodbury(ps, a_bits, b_bits, t, t_inv, sigma):
-    """Q^-1 = T^-1 + (T^-1 a^T) M^-1 (b T^-1), M = I + b T^-1 a^T."""
-    z, p = ps.z, ps.p
-    if ps.m_t == 1:
-        # block level: T^-1 scatters block-row i of a^T to row sigma(i),
-        # and intra-block shifts vanish against block-constant operands
-        ta = np.zeros((ps.r0, z), dtype=np.uint8)
-        ta[sigma] = a_bits.T
-        tb = b_bits[:, sigma]
-        m = np.eye(z, dtype=np.uint8)
-        if p & 1:
-            m ^= (b_bits @ ta) & 1
-        m_inv = DenseMatrix.from_bits(m).invert().to_bits()
-        w = (((ta @ m_inv) & 1) @ tb) & 1
-        q_inv = QcMatrix(ps.r0, ps.r0, p, t_inv.first_rows.copy())
-        q_inv.first_rows[w.astype(bool)] ^= _ones_row(p)
-        return q_inv
-    # general route: dense Woodbury, folded back to the grid (the rank-z
-    # update is block-constant, so Q^-1 stays quasi-cyclic)
-    ti_dense = t_inv.expand()
-    b_dm = _expand_block_bits(b_bits, p)
-    u0 = ti_dense.mul_matrix(_expand_block_bits(a_bits, p).transpose())
-    m_inv = DenseMatrix.identity(z).add(b_dm.mul_matrix(u0)).invert()
-    q_inv = ti_dense.add(u0.mul_matrix(m_inv).mul_matrix(b_dm.mul_matrix(ti_dense)))
-    return QcMatrix.fold_dense_rows(q_inv.data[::p], ps.r0, p)
+def _woodbury(ps, a_bits, b_bits, t_inv):
+    """Q^-1 = T^-1 + (T^-1 a^T) M^-1 (b T^-1), M = I + b T^-1 a^T, at
+    block level: T^-1 acts on the block-constant a^T and b through
+    T^-1(1), and the update term is zero or all ones on every block."""
+    t1 = np.bitwise_count(t_inv.first_rows).sum(axis=-1, dtype=np.int64) & 1
+    ta = (t1 @ a_bits.T) & 1
+    tb = (b_bits @ t1) & 1
+    m = np.eye(ps.z, dtype=np.uint8)
+    if ps.p & 1:
+        m ^= ((b_bits @ ta) & 1).astype(np.uint8)
+    m_inv = DenseMatrix.from_bits(m).invert().to_bits()
+    w = (((ta @ m_inv) & 1) @ tb) & 1
+    q_inv = QcMatrix(ps.r0, ps.r0, ps.p, t_inv.first_rows.copy())
+    q_inv.first_rows[w.astype(bool)] ^= _ones_row(ps.p)
+    return q_inv
 
 
 def generate_scrambler(ps: ParameterSet, stream: HashStream):

@@ -257,12 +257,10 @@ def test_key_recovery_finds_sparse_generator(toy, toy_keys):
     assert out.success
     assert out.details["independent_found"] == toy.k
     h_rows = pk.parity_rows()
-    stacked = []
     for word in out.recovered:
         assert word.weight() <= toy.w_g * toy.m_s
         assert not gf2._parity_rows(h_rows, word.data).any()
-        stacked.append(word)
-    basis = DenseMatrix.from_rows(stacked)
+    basis = DenseMatrix(toy.k, toy.n, np.stack([w.data for w in out.recovered]))
     assert basis.rank() == toy.k
 
 

@@ -160,6 +160,16 @@ def test_argparse_errors_map_to_usage(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--transcript"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_attack_rejects_non_positive_counts(workdir, capsys, flag, value):
+    # the parser refuses the count before any attack runs
+    assert run(["attack", "keyrec", "--params", "toy-1", "--seed", SEED_HEX,
+                flag, value]) == EXIT_USAGE
+    assert "must be positive" in capsys.readouterr().err
+    assert not (workdir / "keyrec-outcome.json").exists()
+
+
 def attack_record(capsys):
     out = capsys.readouterr().out
     return json.loads(out.splitlines()[-1])

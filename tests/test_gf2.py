@@ -1,7 +1,8 @@
-"""GF(2) linear algebra: dense, circulant, and quasi-cyclic agreement.
+"""GF(2) linear algebra: dense and quasi-cyclic agreement.
 
-The dense routines are the oracle for everything else; circulant and
-QC results are checked against their expanded dense counterparts.
+The dense routines are the oracle for everything else; QC results are
+checked against their expanded dense counterparts, and the expansion
+itself against blocks built from their first rows with np.roll.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from ldgmsig import gf2
 from ldgmsig.gf2 import (
     BitVector,
-    CirculantBlock,
     DenseMatrix,
     QcMatrix,
     ShapeError,
@@ -165,55 +165,6 @@ def test_solve_reports_no_solution():
     assert solve(a, BitVector.from01("10")) is None
 
 
-# ------------------------------------------------------------- circulant
-
-def test_circulant_polynomial_product():
-    # x^3 * x^3 = x^6 = x^2 mod (x^4 - 1)
-    a = CirculantBlock(4, BitVector.from01("0001"))
-    assert a.multiply(a).first_row == BitVector.from01("0010")
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_circulant_inverse_matches_exhaustive_scan(p):
-    # oracle: scan all 2^p first rows for a multiplicative inverse; invert()
-    # must return exactly the scan's answer or report singular when the scan
-    # comes up empty (as it does for every even-weight row, e.g. 110 at p=3,
-    # whose product with the all-ones row vanishes)
-    eye = CirculantBlock.identity(p)
-    for poly in range(1 << p):
-        a = CirculantBlock.from_poly(p, poly)
-        brute = [
-            c for q in range(1 << p)
-            if (c := CirculantBlock.from_poly(p, q)).multiply(a) == eye
-        ]
-        if brute:
-            assert len(brute) == 1
-            got = a.invert()
-            assert got == brute[0]
-            assert a.multiply(got) == eye
-        else:
-            with pytest.raises(SingularMatrixError):
-                a.invert()
-    assert not CirculantBlock(3, BitVector.from01("110")).multiply(
-        CirculantBlock(3, BitVector.from01("111"))).poly()
-
-
-def test_circulant_commutes():
-    rng = np.random.default_rng(9)
-    for p in (3, 4, 5):
-        for _ in range(10):
-            a = CirculantBlock.from_poly(p, int(rng.integers(0, 1 << p)))
-            b = CirculantBlock.from_poly(p, int(rng.integers(0, 1 << p)))
-            assert a.multiply(b) == b.multiply(a)
-
-
-def test_circulant_expand_is_cyclic():
-    blk = CirculantBlock(4, BitVector.from01("1001"))
-    bits = blk.expand().to_bits()
-    for i in range(4):
-        assert np.array_equal(bits[i], np.roll(bits[0], i))
-
-
 # ------------------------------------------------------------------- qc
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -258,10 +209,11 @@ def test_qc_mul_vec_agrees_with_dense():
 def test_qc_identity_and_blocks():
     eye = QcMatrix.identity(3, 5)
     assert eye.expand() == DenseMatrix.identity(15)
-    blk = eye.block(1, 1)
-    assert blk.is_identity()
-    eye.set_block(0, 2, CirculantBlock.from_poly(5, 0b10))
-    assert eye.block(0, 2).poly() == 0b10
+    assert np.array_equal(eye.first_rows[:, :, 0], np.eye(3, dtype=np.uint8))
+    # first row x puts block (0, 2) at the cyclic shift right by one
+    eye.first_rows[0, 2, 0] = 0b10
+    bits = eye.expand().to_bits()
+    assert np.array_equal(bits[:5, 10:], np.roll(np.eye(5, dtype=np.uint8), 1, axis=1))
 
 
 def test_random_invertible_battery():
@@ -331,12 +283,12 @@ def invertible_qc(rng, br, p):
     return upper.multiply(lower)
 
 
-def both_kernels(work, ncols, reduce_above):
+def both_kernels(work, ncols):
     """(result, work) of the table kernel and of the per-pivot loop."""
     out = []
     for kernel in (gf2._eliminate_table, gf2._eliminate_pivots):
         copy = work.copy()
-        out.append((kernel(copy, ncols, reduce_above), copy))
+        out.append((kernel(copy, ncols), copy))
     return out
 
 
@@ -345,7 +297,7 @@ def test_table_kernel_inverts_like_pivot_loop(bits):
     a = DenseMatrix.from_bits(bits)
     n, width = a.rows, a.data.shape[1]
     work = np.concatenate([a.data, DenseMatrix.identity(n).data], axis=1)
-    (table, table_work), (loop, loop_work) = both_kernels(work, n, True)
+    (table, table_work), (loop, loop_work) = both_kernels(work, n)
     assert table == loop
     # the left half ends in reduced echelon form, which is unique
     assert np.array_equal(table_work[:, :width], loop_work[:, :width])
@@ -357,15 +309,13 @@ def test_table_kernel_inverts_like_pivot_loop(bits):
     assert DenseMatrix(n, n, table_work[:, width:]) == a.invert()
 
 
-@given(bit_arrays(), st.booleans())
-def test_table_kernel_ranks_like_pivot_loop(bits, reduce_above):
+@given(bit_arrays())
+def test_table_kernel_ranks_like_pivot_loop(bits):
     a = DenseMatrix.from_bits(bits)
-    (table, table_work), (loop, loop_work) = both_kernels(
-        a.data, a.cols, reduce_above)
+    (table, table_work), (loop, loop_work) = both_kernels(a.data, a.cols)
     assert table[1] == loop[1] == a.rank()
-    if reduce_above:
-        assert table == loop
-        assert np.array_equal(table_work, loop_work)
+    assert table == loop
+    assert np.array_equal(table_work, loop_work)
 
 
 @given(bit_arrays(min_rows=2), st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -417,9 +367,10 @@ def test_qc_invert_route_matches_dense_inverse(p, data):
 
 
 # ------------------------------------------------- first-row products
-# ColumnRotations (verify) and ColumnSupports (sign) compute M v^T from
-# the first rows; the expanded dense matrix is their reference, and the
-# blockwise circulant expansion is the reference of the grouped expand.
+# ColumnRotations (verify, QC x QC products) and ColumnSupports (sign)
+# compute M v^T from the first rows; the expanded dense matrix is their
+# reference, and blocks rolled from their first rows are the reference
+# of the grouped expand.
 
 @st.composite
 def qc_grids(draw):
@@ -466,6 +417,7 @@ def test_rotated_columns_multiply_like_expanded(m, data):
     assert rotations.sum_bytes(support + support[:2]) == dense.mul_vec(rest).to_bytes()
     u = draw_vector(data, m.rows)
     assert m.vec_mul(u) == dense.vec_mul(u)
+    assert m.multiply(m.transpose()).expand() == dense.mul_matrix(dense.transpose())
 
 
 @given(qc_grids(), st.data())
@@ -482,9 +434,12 @@ def test_column_supports_sum_like_expanded(m, data):
 @given(qc_grids(), st.sampled_from([1, 300, gf2.EXPAND_GROUP_BITS]))
 def test_grouped_expand_matches_blockwise_circulants(m, group_bits):
     p = m.p
+    first = np.unpackbits(m.first_rows, axis=-1, count=p, bitorder="little")
     want = np.zeros((m.rows, m.cols), dtype=np.uint8)
     for i, j in np.ndindex(m.block_rows, m.block_cols):
-        want[i * p:(i + 1) * p, j * p:(j + 1) * p] = m.block(i, j).expand().to_bits()
+        # row u of a circulant is its first row shifted right by u
+        block = np.stack([np.roll(first[i, j], u) for u in range(p)])
+        want[i * p:(i + 1) * p, j * p:(j + 1) * p] = block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf2, "EXPAND_GROUP_BITS", group_bits)
         got = m.expand()

@@ -227,6 +227,12 @@ def test_generate_weight_control_standalone():
 
 
 
+# odd p > 1 with real circulants (r0 = 16, so every odd m_t can be drawn):
+# the Woodbury matrix M = I_z + b T^-1(1) a^T differs from I_z for m_t = 3
+# and 5 at CANON_SEED, and the first m_t = 5 draw has a singular M
+Z2_ODD = dataclasses.replace(Z2_SET, name="z2-odd", p=3)
+
+
 # T(1) = (I + C + ... + C^(m_t - 1)) P_sigma over r0 blocks is singular,
 # and with it every draw of T, when 1 + x + ... + x^(m_t - 1) shares a
 # factor with x^r0 - 1: for every even m_t, for m_t = 3 and 9 at
@@ -235,7 +241,8 @@ def test_generate_weight_control_standalone():
     (Z2_SET, 3, True), (Z2_SET, 4, True), (Z2_SET, 5, False),
     (Z2_SET, 7, False), (Z2_SET, 9, True), (DENSE_SET, 3, False),
     (DENSE_SET, 4, True), (DENSE_SET, 5, False), (DENSE_SET, 7, True),
-    (DENSE_SET, 9, False),
+    (DENSE_SET, 9, False), (Z2_ODD, 1, False), (Z2_ODD, 3, False),
+    (Z2_ODD, 5, False),
 ], ids=lambda v: getattr(v, "name", v))
 def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
     heavy = dataclasses.replace(ps, m_t=m_t).validate()
@@ -251,9 +258,9 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
 
 
 def test_weight_three_sparse_map_round_trip():
-    # T is no permutation here: Q^-1 takes the general Woodbury route,
-    # and the signer's T s, read from T's column supports, must match
-    # the expanded product
+    # T is no permutation here: Q^-1 comes from T^-1 = gf2.invert(T)
+    # through T^-1(1), and the signer's T s, read from T's column
+    # supports, must match the expanded product
     ps = dataclasses.replace(DENSE_SET, m_t=3).validate()
     sk, pk = assemble(ps, CANON_SEED)
     prod = gf2.multiply(sk.weight_ctrl(), sk.weight_ctrl_inv)
