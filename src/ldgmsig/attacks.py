@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .digest import CounterExhausted, digest_message, map_to_syndrome
+from .digest import CounterExhausted, digest_message, find_orthogonal, map_to_syndrome
 from .gf2 import BitVector, DenseMatrix, QcMatrix, SingularMatrixError
 from .keygen import PrivateKey, PublicKey, assemble_from_parts, generate_systematic
 from .params import ParameterSet
@@ -69,8 +69,10 @@ class SignatureTranscript:
         exactly what a transcript eavesdropper sees. An optional `want`
         predicate on the syndrome keeps only matching pairs, modelling a
         chosen-message attacker who preselects messages by their public
-        syndrome (the digest map needs no key material).
+        syndrome (the digest map needs no key material): only the
+        messages that pass are signed.
         """
+        ps = sk.ps
         pairs = []
         i = 0
         cap = (40 * count + 256) * (8 if want is not None else 1)
@@ -81,10 +83,12 @@ class SignatureTranscript:
             msg = prefix + b"-%d" % i
             i += 1
             try:
+                if want is not None:
+                    pub = find_orthogonal(digest_message(msg, ps), sk.constraints, ps)
+                    if not want(pub.s):
+                        continue
                 sig, trace = sign_trace(sk, msg, zero_mask=zero_mask)
             except CounterExhausted:
-                continue
-            if want is not None and not want(trace.syndrome):
                 continue
             pairs.append((trace.syndrome, sig.e_prime))
         return cls(pairs)
@@ -301,15 +305,17 @@ class _InformationSets:
 
     def __init__(self, bits: np.ndarray, k: int, stream: HashStream, budget: int):
         self.bits, self.k, self.stream = bits, k, stream
-        self.columns = np.arange(bits.shape[1])
+        self.n = bits.shape[1]
         self.cap = 50 * budget + 50
         self.redraws = 0
 
     def next(self):
         """(info, rest, H'_rest^-1), or None past the redraw cap."""
         while True:
-            info = np.asarray(sorted(self.stream.distinct(self.k, self.columns.size)))
-            rest = np.setdiff1d(self.columns, info, assume_unique=True)
+            drawn = self.stream.distinct(self.k, self.n)
+            chosen = set(drawn)
+            info = np.asarray(sorted(drawn))
+            rest = np.asarray([c for c in range(self.n) if c not in chosen])
             try:
                 return info, rest, DenseMatrix.from_bits(self.bits[:, rest]).invert()
             except SingularMatrixError:
@@ -369,6 +375,26 @@ def isd_codeword_strip(entry: tuple[BitVector, BitVector], pk: PublicKey,
                           "bound": bound})
 
 
+class _SpanBasis:
+    """Words (as ints, bit i for position i) kept in reduced form, one
+    per leading bit, so that testing a new word for independence costs
+    one reduction pass in place of a rank of the whole stack."""
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+
+    def add(self, word: int) -> bool:
+        """Keep word and return True when it is independent of the words
+        kept so far; it is exactly when it does not reduce to 0."""
+        while word:
+            lead = word.bit_length() - 1
+            if lead not in self.rows:
+                self.rows[lead] = word
+                return True
+            word ^= self.rows[lead]
+        return False
+
+
 def low_weight_row_recovery(pk: PublicKey, target_weight: int, budget: int,
                             *, seed: bytes | None = None) -> AttackOutcome:
     """Recover a sparse generator of the public code (toy scale only).
@@ -385,15 +411,13 @@ def low_weight_row_recovery(pk: PublicKey, target_weight: int, budget: int,
                          "low-weight search is a toy-scale demonstration")
     stream = HashStream(seed if seed is not None else fresh_seed())
     bits = _public_bits(pk)
-    found_bits: list[np.ndarray] = []
     found: list[BitVector] = []
+    span = _SpanBasis()
 
     def bank(word_bits: np.ndarray) -> None:
-        stacked = np.stack(found_bits + [word_bits])
-        if gf2.rank(DenseMatrix.from_bits(stacked)) == len(found_bits) + 1:
-            found_bits.append(word_bits.copy())
-            found.append(BitVector(ps.n, np.packbits(word_bits,
-                                                     bitorder="little")))
+        packed = np.packbits(word_bits, bitorder="little")
+        if span.add(int.from_bytes(packed.tobytes(), "little")):
+            found.append(BitVector(ps.n, packed))
 
     sets = _InformationSets(bits, ps.k, stream, budget)
     work = 0

@@ -35,9 +35,10 @@ by the number of rows.  From TABLE_MIN_ROWS rows up it runs the Method of
 Four Russians (Albrecht, Bard & Hart 2010) on uint64 words: eight pivot
 columns at a time, whose pivot rows are reduced among themselves into a
 2^8-row table that updates every other row with one gather.  Below that
-it eliminates one pivot at a time on uint8 rows, which costs fewer numpy
-calls per pivot on the small systems the attacks solve by the thousand.
-Both kernels reach the same reduced form.
+it eliminates one pivot at a time with each packed row held as one
+Python int, so a pivot costs one int XOR per row that has its bit and
+no numpy call: the attacks solve 12-row systems by the thousand.  Both
+kernels reach the same reduced form.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ __all__ = [
 ]
 
 # rows from which _eliminate uses the table kernel: eliminating a random
-# [A | I], it takes 1.3-1.4x the per-pivot loop's time at 12-48 rows,
-# 1.03x at 128, 0.90x at 256 and 0.56x at 1024 (2-vCPU x86-64 VM)
-TABLE_MIN_ROWS = 256
+# [A | I], the per-pivot int loop takes 0.13x the table kernel's time at
+# 12 rows, 0.47x at 64, 0.77x at 128, 0.94x at 160, 0.96x at 192, 1.04x
+# at 208 and 1.35x at 256 (2-vCPU x86-64 VM)
+TABLE_MIN_ROWS = 192
 
 # unpacked bits (one byte each) that QcMatrix.expand holds per group of
 # block rows: a one-shot expand of ldgm-80's 9800 x 9800 S^T would hold
@@ -327,30 +329,35 @@ def _eliminate(work, ncols):
 
 
 def _eliminate_pivots(work, ncols):
-    """_eliminate one pivot at a time on the uint8 rows."""
-    nrows = work.shape[0]
+    """_eliminate one pivot at a time, each packed row one Python int.
+
+    Bit c of a row's int is column c, so a pivot row clears its column
+    from every other row with one int XOR.
+    """
+    nrows, nbytes = work.shape
+    raw = work.tobytes()
+    rows = [int.from_bytes(raw[i : i + nbytes], "little")
+            for i in range(0, nrows * nbytes, nbytes)]
     pivots = []
     rk = 0
     for col in range(ncols):
         if rk == nrows:
             break
-        byte, bit = col >> 3, col & 7
-        colbits = (work[rk:, byte] >> bit) & 1
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
+        bit = 1 << col
+        for piv in range(rk, nrows):
+            if rows[piv] & bit:
+                break
+        else:
             continue
-        piv = rk + int(nz[0])
-        if piv != rk:
-            tmp = work[rk].copy()
-            work[rk] = work[piv]
-            work[piv] = tmp
-        allbits = (work[:, byte] >> bit) & 1
-        allbits[rk] = 0
-        sel = np.nonzero(allbits)[0]
-        if sel.size:
-            work[sel] ^= work[rk]
+        # swap rows rk and piv: row rk clears to 0 below and gets top back
+        top = rows[piv]
+        rows[piv] = rows[rk]
+        rows = [row ^ top if row & bit else row for row in rows]
+        rows[rk] = top
         pivots.append(col)
         rk += 1
+    out = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    work[:] = np.frombuffer(out, dtype=np.uint8).reshape(nrows, nbytes)
     return pivots, rk
 
 

@@ -28,18 +28,15 @@ class HashStream:
         self._pos = 0
 
     def read(self, n: int) -> bytes:
-        out = bytearray()
-        while n > 0:
-            if self._pos == len(self._buf):
-                block = self._counter.to_bytes(8, "little")
-                self._buf = hashlib.sha256(self.key + block).digest()
-                self._pos = 0
-                self._counter += 1
-            take = min(n, len(self._buf) - self._pos)
-            out += self._buf[self._pos : self._pos + take]
-            self._pos += take
-            n -= take
-        return bytes(out)
+        while len(self._buf) - self._pos < n:
+            block = self._counter.to_bytes(8, "little")
+            digest = hashlib.sha256(self.key + block).digest()
+            self._buf = self._buf[self._pos :] + digest
+            self._pos = 0
+            self._counter += 1
+        pos = self._pos
+        self._pos = pos + n
+        return self._buf[pos : pos + n]
 
     def u32(self) -> int:
         return int.from_bytes(self.read(4), "little")

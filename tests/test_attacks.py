@@ -7,10 +7,13 @@ quantitative claims (acceptance rates, binomial ratios, contrasts with
 random codes) live in the acceptance suite.
 """
 
+import hashlib
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ldgmsig import attacks, gf2
 from ldgmsig.attacks import (
@@ -26,9 +29,9 @@ from ldgmsig.attacks import (
 )
 from ldgmsig.digest import CounterExhausted, digest_message, map_to_syndrome
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
-from ldgmsig.keygen import PublicKey
+from ldgmsig.keygen import PublicKey, assemble
 from ldgmsig.params import get_params
-from ldgmsig.sign import verify
+from ldgmsig.sign import sign_trace, verify
 
 from conftest import CANON_SEED, GRAM_SEED
 
@@ -64,6 +67,32 @@ def test_transcript_want_predicate_filters(toy, toy_keys):
     assert all(0 in s.support() for s, _ in tr.pairs)
     with pytest.raises(CounterExhausted):
         SignatureTranscript.collect(sk, 1, want=lambda s: False)
+
+
+@pytest.mark.parametrize("zero_mask", [False, True])
+def test_transcript_want_signs_only_kept_messages(monkeypatch, toy_keys, zero_mask):
+    sk, _ = toy_keys
+
+    def want(s):
+        return 0 in s.support()
+
+    # reference: sign every message, then filter on the signed syndrome
+    expected, i = [], 0
+    while len(expected) < 8:
+        sig, trace = sign_trace(sk, b"transcript-%d" % i, zero_mask=zero_mask)
+        i += 1
+        if want(trace.syndrome):
+            expected.append((trace.syndrome, sig.e_prime))
+    signed = []
+
+    def counting(*args, **kwargs):
+        signed.append(args[1])
+        return sign_trace(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "sign_trace", counting)
+    tr = SignatureTranscript.collect(sk, 8, zero_mask=zero_mask, want=want)
+    assert tr.pairs == expected
+    assert len(signed) == 8
 
 
 # -------------------------------------------------------------- linearity
@@ -275,6 +304,73 @@ def test_key_recovery_refuses_production_sizes():
     stub = types.SimpleNamespace(ps=get_params("ldgm-80"))
     with pytest.raises(ValueError, match="toy-scale"):
         low_weight_row_recovery(stub, 180, 10)
+
+
+@given(st.integers(1, 24), st.lists(st.integers(0, 2 ** 24 - 1), max_size=40))
+def test_span_basis_banks_like_rank_check(width, words):
+    # narrow widths make most words dependent on the earlier ones
+    span, kept = attacks._SpanBasis(), []
+    for word in (w & ((1 << width) - 1) for w in words):
+        stacked = np.array([[(x >> i) & 1 for i in range(width)]
+                            for x in kept + [word]], dtype=np.uint8)
+        independent = gf2.rank(DenseMatrix.from_bits(stacked)) == len(kept) + 1
+        assert span.add(word) == independent
+        if independent:
+            kept.append(word)
+
+
+# ------------------------------------------------- pinned information sets
+# isdstrip and keyrec on three toy-1 keys, run as `ldgmsig attack` runs
+# them: records (iterations, work and redraws included) and recovered
+# words recorded from the elimination on uint8 rows, so any change to the
+# information-set draws or to what elimination returns shows here.  The
+# perfbench-toy1-35 key redraws 1811 singular sets before its first
+# invertible one.
+
+PINNED_ISD = {
+    bytes(range(32)): (
+        {"success": True, "work": 8, "stripped_weight": 4, "bound": 4,
+         "iterations": 8, "redraws": 50},
+        [2, 9, 19, 22],
+        {"success": True, "work": 59, "independent_found": 12,
+         "needed": 12, "target_weight": 6, "redraws": 7},
+        [[2, 7, 8, 11, 23], [1, 6, 8, 13], [5, 7, 9, 11], [0, 5, 11, 12],
+         [5, 7, 8, 14, 23], [5, 11, 16, 18, 21, 23], [1, 3, 13, 15],
+         [3, 5, 7, 13, 17, 19], [1, 3, 5, 7, 20, 22], [1, 4, 10, 13],
+         [1, 4, 8, 11, 22], [0, 8, 10, 14, 16, 18]]),
+    hashlib.sha256(b"perfbench-toy1-21").digest(): (
+        {"success": True, "work": 5, "stripped_weight": 4, "bound": 4,
+         "iterations": 5, "redraws": 1377},
+        [10, 16, 21, 22],
+        {"success": True, "work": 12, "independent_found": 12,
+         "needed": 12, "target_weight": 6, "redraws": 110},
+        [[0, 5, 13, 16], [1, 12, 14, 17], [3, 12, 14, 19], [4, 14], [6, 12],
+         [7, 13], [8, 12, 14], [5, 9, 13], [10, 12, 14], [5, 11, 13],
+         [5, 15], [2, 5, 13, 18]]),
+    hashlib.sha256(b"perfbench-toy1-35").digest(): (
+        {"success": True, "work": 2, "stripped_weight": 3, "bound": 4,
+         "iterations": 2, "redraws": 1811},
+        [15, 17, 21],
+        {"success": True, "work": 12, "independent_found": 12,
+         "needed": 12, "target_weight": 6, "redraws": 1384},
+        [[0, 6, 16, 22], [3, 4, 6, 19], [5, 6, 7, 22], [8], [9], [10], [11],
+         [1, 4, 6, 17], [2, 6, 18, 22], [4, 6, 20, 22], [4, 7, 21, 22],
+         [4, 6, 7, 23]]),
+}
+
+
+@pytest.mark.parametrize("seed", list(PINNED_ISD), ids=["canon", "toy1-21", "toy1-35"])
+def test_information_set_attacks_are_pinned(toy, seed):
+    strip_record, strip_word, keyrec_record, keyrec_words = PINNED_ISD[seed]
+    sk, pk = assemble(toy, seed)
+    attack_seed = hashlib.sha256(seed + b"/attack").digest()
+    entry = SignatureTranscript.collect(sk, 1).pairs[0]
+    strip = isd_codeword_strip(entry, pk, 1000, seed=attack_seed)
+    assert strip.as_dict() == {"attack": "isdstrip", **strip_record}
+    assert strip.recovered.support() == strip_word
+    rec = low_weight_row_recovery(pk, toy.w_g * toy.m_s, 10 ** 6, seed=attack_seed)
+    assert rec.as_dict() == {"attack": "keyrec", **keyrec_record}
+    assert [word.support() for word in rec.recovered] == keyrec_words
 
 
 # ---------------------------------------------------------------- outcome

@@ -247,10 +247,12 @@ def test_generic_helpers_dispatch():
 
 
 # ------------------------------------------------------ elimination kernels
-# The table kernel (Method of Four Russians) serves systems from
-# gf2.TABLE_MIN_ROWS rows up; here it runs at small shapes, called
+# _eliminate has two kernels: the per-pivot loop on Python-int rows
+# below gf2.TABLE_MIN_ROWS rows and the table kernel (Method of Four
+# Russians) from there up.  Here both run at small shapes, called
 # directly or through solve with the threshold lowered, and must agree
-# with the per-pivot loop, the reference it replaces.
+# with reference_eliminate, the per-pivot loop on uint8 rows that the
+# int kernel replaced.
 
 @st.composite
 def bit_arrays(draw, square=False, min_rows=1):
@@ -283,13 +285,46 @@ def invertible_qc(rng, br, p):
     return upper.multiply(lower)
 
 
-def both_kernels(work, ncols):
-    """(result, work) of the table kernel and of the per-pivot loop."""
-    out = []
-    for kernel in (gf2._eliminate_table, gf2._eliminate_pivots):
+def reference_eliminate(work, ncols):
+    """Gauss-Jordan one pivot at a time on the uint8 rows, in place: the
+    slow reference for both kernels."""
+    nrows = work.shape[0]
+    pivots = []
+    rk = 0
+    for col in range(ncols):
+        if rk == nrows:
+            break
+        byte, bit = col >> 3, col & 7
+        colbits = (work[rk:, byte] >> bit) & 1
+        nz = np.nonzero(colbits)[0]
+        if nz.size == 0:
+            continue
+        piv = rk + int(nz[0])
+        if piv != rk:
+            tmp = work[rk].copy()
+            work[rk] = work[piv]
+            work[piv] = tmp
+        allbits = (work[:, byte] >> bit) & 1
+        allbits[rk] = 0
+        sel = np.nonzero(allbits)[0]
+        if sel.size:
+            work[sel] ^= work[rk]
+        pivots.append(col)
+        rk += 1
+    return pivots, rk
+
+
+def kernels_agree(work, ncols):
+    """Eliminate copies of work with the reference and with both kernels,
+    assert the same pivots, rank and work array from each, and return
+    the reference's ((pivots, rank), work)."""
+    done = work.copy()
+    want = reference_eliminate(done, ncols)
+    for kernel in (gf2._eliminate_pivots, gf2._eliminate_table):
         copy = work.copy()
-        out.append((kernel(copy, ncols), copy))
-    return out
+        assert kernel(copy, ncols) == want, kernel.__name__
+        assert np.array_equal(copy, done), kernel.__name__
+    return want, done
 
 
 @given(bit_arrays(square=True))
@@ -297,25 +332,37 @@ def test_table_kernel_inverts_like_pivot_loop(bits):
     a = DenseMatrix.from_bits(bits)
     n, width = a.rows, a.data.shape[1]
     work = np.concatenate([a.data, DenseMatrix.identity(n).data], axis=1)
-    (table, table_work), (loop, loop_work) = both_kernels(work, n)
-    assert table == loop
-    # the left half ends in reduced echelon form, which is unique
-    assert np.array_equal(table_work[:, :width], loop_work[:, :width])
-    if loop[1] < n:
+    (_, rk), done = kernels_agree(work, n)
+    if rk < n:
         with pytest.raises(SingularMatrixError):
             a.invert()
         return
-    assert np.array_equal(table_work, loop_work)
-    assert DenseMatrix(n, n, table_work[:, width:]) == a.invert()
+    assert DenseMatrix(n, n, done[:, width:]) == a.invert()
 
 
-@given(bit_arrays())
-def test_table_kernel_ranks_like_pivot_loop(bits):
-    a = DenseMatrix.from_bits(bits)
-    (table, table_work), (loop, loop_work) = both_kernels(a.data, a.cols)
-    assert table[1] == loop[1] == a.rank()
-    assert table == loop
-    assert np.array_equal(table_work, loop_work)
+@given(bit_arrays(), st.data())
+def test_table_kernel_ranks_like_pivot_loop(bits, data):
+    # pivots only in the first ncols columns; the rest ride along, and
+    # ncols need not end on a byte boundary
+    ncols = data.draw(st.integers(1, bits.shape[1]))
+    (pivots, rk), _ = kernels_agree(DenseMatrix.from_bits(bits).data, ncols)
+    assert rk == len(pivots) == DenseMatrix.from_bits(bits[:, :ncols]).rank()
+
+
+@pytest.mark.parametrize("rows, kernel", [
+    (gf2.TABLE_MIN_ROWS - 1, "_eliminate_pivots"),
+    (gf2.TABLE_MIN_ROWS, "_eliminate_table"),
+])
+def test_eliminate_dispatches_on_row_count(monkeypatch, rows, kernel):
+    called = []
+    for name in ("_eliminate_pivots", "_eliminate_table"):
+        def spy(work, ncols, name=name, real=getattr(gf2, name)):
+            called.append(name)
+            return real(work, ncols)
+        monkeypatch.setattr(gf2, name, spy)
+    work = np.concatenate([DenseMatrix.identity(rows).data] * 2, axis=1)
+    assert gf2._eliminate(work, rows) == (list(range(rows)), rows)
+    assert called == [kernel]
 
 
 @given(bit_arrays(min_rows=2), st.booleans(), st.integers(0, 2 ** 32 - 1))
