@@ -31,7 +31,7 @@ from .gf2 import BitVector, DenseMatrix, QcMatrix, SingularMatrixError
 from .keygen import PrivateKey, PublicKey, assemble_from_parts, generate_systematic
 from .params import ParameterSet
 from .rng import HashStream, fresh_seed
-from .sign import Signature, sign_trace, verify
+from .sign import Signature, _sign_syndrome, sign_trace, verify
 
 __all__ = [
     "SignatureTranscript",
@@ -83,11 +83,13 @@ class SignatureTranscript:
             msg = prefix + b"-%d" % i
             i += 1
             try:
-                if want is not None:
+                if want is None:
+                    sig, trace = sign_trace(sk, msg, zero_mask=zero_mask)
+                else:
                     pub = find_orthogonal(digest_message(msg, ps), sk.constraints, ps)
                     if not want(pub.s):
                         continue
-                sig, trace = sign_trace(sk, msg, zero_mask=zero_mask)
+                    sig, trace = _sign_syndrome(sk, pub, zero_mask)
             except CounterExhausted:
                 continue
             pairs.append((trace.syndrome, sig.e_prime))

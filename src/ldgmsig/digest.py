@@ -18,6 +18,18 @@ a handful of syndrome classes that b accepts or rejects together.
 With l in the high bits each counter step moves the index by 2^x,
 which changes the high support positions, and the candidates behave
 like independent draws.
+
+Each try of the scan unranks one index of x + y bits (168 at ldgm-80).
+For each level i, from w down to 1, unrank needs the largest a with
+C(a, i) <= index.  Since C(a, i) <= (a - (i-1)/2)^i / i!, the root of
+that bound in floating point, clamped to [i, r-1], is a starting point
+at or just below the answer.  One exact binomial at the start, then
+exact integer steps up or down by the ratios C(a+1, i) / C(a, i) and
+C(a-1, i) / C(a, i), reach the answer, usually with no step at all.
+The float only picks where to start, so a rounding error costs a step
+and never changes the result.  The syndrome of a try stays a Python int
+until it passes: b s = 0 is the parity of each row of b, held as an
+int, ANDed with it.
 """
 
 from __future__ import annotations
@@ -63,21 +75,33 @@ def rank_support(support) -> int:
 
 
 def unrank(index: int, r: int, w: int) -> list[int]:
-    """Support of the index-th weight-w vector of length r, colex order."""
+    """Support of the index-th weight-w vector of length r, colex order.
+
+    Level i takes the largest a with C(a, i) <= index, starting from the
+    estimated root and stepping by exact binomial ratios (see the module
+    docstring), so the support is exact whatever the float estimate.
+    """
     if not 0 <= index < math.comb(r, w):
         raise ValueError(f"index {index} outside [0, C({r},{w}))")
     support = []
     for i in range(w, 0, -1):
-        # largest a with C(a, i) <= index, found by binary search
-        lo, hi = i - 1, r - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if math.comb(mid, i) <= index:
-                lo = mid
-            else:
-                hi = mid - 1
-        support.append(lo)
-        index -= math.comb(lo, i)
+        if index == 0:
+            support.extend(range(i - 1, -1, -1))
+            break
+        a = int(math.exp((math.log(index) + math.lgamma(i + 1)) / i) + (i - 1) / 2)
+        a = min(max(a, i), r - 1)
+        c = math.comb(a, i)
+        while c > index:
+            c = c * (a - i) // a
+            a -= 1
+        while True:
+            up = c * (a + 1) // (a + 1 - i)
+            if up > index:
+                break
+            a += 1
+            c = up
+        support.append(a)
+        index -= c
     support.reverse()
     return support
 
@@ -93,14 +117,28 @@ def digest_message(message: bytes, ps: ParameterSet) -> int:
     return int.from_bytes(raw, "big") >> (8 * len(raw) - ps.x)
 
 
-def map_to_syndrome(h: int, l: int, ps: ParameterSet) -> BitVector:
-    """Unrank [l | h] (the counter in the high bits) into a weight-w syndrome."""
+def _syndrome_bits(h: int, l: int, ps: ParameterSet) -> int:
+    """Syndrome of digest h and counter l as an int, bit j for position j.
+
+    The index is (l << x) | h: the counter sits in the high bits.
+    """
     if not 0 <= h < 1 << ps.x:
         raise ValueError(f"digest value needs more than {ps.x} bits")
     if not 0 <= l < 1 << ps.y:
         raise ValueError(f"counter value needs more than {ps.y} bits")
-    index = (l << ps.x) | h
-    return BitVector.from_support(ps.r, unrank(index, ps.r, ps.w))
+    bits = 0
+    for j in unrank((l << ps.x) | h, ps.r, ps.w):
+        bits |= 1 << j
+    return bits
+
+
+def _bit_vector(bits: int, length: int) -> BitVector:
+    return BitVector.from_bytes(length, bits.to_bytes((length + 7) // 8, "little"))
+
+
+def map_to_syndrome(h: int, l: int, ps: ParameterSet) -> BitVector:
+    """Unrank [l | h] (the counter in the high bits) into a weight-w syndrome."""
+    return _bit_vector(_syndrome_bits(h, l, ps), ps.r)
 
 
 def find_orthogonal(h: int, b: DenseMatrix, ps: ParameterSet) -> PublicSyndrome:
@@ -118,8 +156,9 @@ def find_orthogonal(h: int, b: DenseMatrix, ps: ParameterSet) -> PublicSyndrome:
     """
     if b.cols != ps.r:
         raise ValueError(f"constraint matrix is {b.rows}x{b.cols}, expected z x {ps.r}")
+    rows = [int.from_bytes(row.tobytes(), "little") for row in b.data]
     for l in range(1 << ps.y):
-        s = map_to_syndrome(h, l, ps)
-        if b.mul_vec(s).weight() == 0:
-            return PublicSyndrome(s=s, theta=l, tries=l + 1)
+        s = _syndrome_bits(h, l, ps)
+        if not any((row & s).bit_count() & 1 for row in rows):
+            return PublicSyndrome(s=_bit_vector(s, ps.r), theta=l, tries=l + 1)
     raise CounterExhausted(f"no orthogonal syndrome within 2^{ps.y} counters")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .digest import digest_message, find_orthogonal, map_to_syndrome
+from .digest import PublicSyndrome, digest_message, find_orthogonal, map_to_syndrome
 from .gf2 import BitVector
 from .keygen import PrivateKey, PublicKey
 from .rng import HashStream
@@ -124,8 +124,14 @@ def sign_trace(sk: PrivateKey, message: bytes, *,
     this, to expose how the construction degrades without the mask.
     """
     ps = sk.ps
-    h = digest_message(message, ps)
-    pub = find_orthogonal(h, sk.constraints, ps)
+    pub = find_orthogonal(digest_message(message, ps), sk.constraints, ps)
+    return _sign_syndrome(sk, pub, zero_mask)
+
+
+def _sign_syndrome(sk: PrivateKey, pub: PublicSyndrome,
+                   zero_mask: bool) -> tuple[Signature, SignTrace]:
+    """The signature on the syndrome and counter the scan found."""
+    ps = sk.ps
     s = pub.s
     mapped_support = sk.map_support(s)
     mapped = BitVector.from_support(ps.r, mapped_support.tolist())

@@ -8,6 +8,7 @@ random codes) live in the acceptance suite.
 """
 
 import hashlib
+import importlib
 import types
 
 import numpy as np
@@ -27,11 +28,11 @@ from ldgmsig.attacks import (
     right_inverse_gram,
     support_decompose,
 )
-from ldgmsig.digest import CounterExhausted, digest_message, map_to_syndrome
+from ldgmsig.digest import CounterExhausted, digest_message, find_orthogonal, map_to_syndrome
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PublicKey, assemble
 from ldgmsig.params import get_params
-from ldgmsig.sign import sign_trace, verify
+from ldgmsig.sign import _sign_syndrome, sign_trace, verify
 
 from conftest import CANON_SEED, GRAM_SEED
 
@@ -83,15 +84,24 @@ def test_transcript_want_signs_only_kept_messages(monkeypatch, toy_keys, zero_ma
         i += 1
         if want(trace.syndrome):
             expected.append((trace.syndrome, sig.e_prime))
-    signed = []
+    # each message is scanned once, and only the kept ones are signed,
+    # from the syndrome the filter already found
+    scanned, signed = [], []
 
-    def counting(*args, **kwargs):
-        signed.append(args[1])
-        return sign_trace(*args, **kwargs)
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(attacks, "sign_trace", counting)
+    scan = counting(scanned, find_orthogonal)
+    monkeypatch.setattr(attacks, "find_orthogonal", scan)
+    # the package exports the function sign, which shadows the module
+    monkeypatch.setattr(importlib.import_module("ldgmsig.sign"), "find_orthogonal", scan)
+    monkeypatch.setattr(attacks, "_sign_syndrome", counting(signed, _sign_syndrome))
     tr = SignatureTranscript.collect(sk, 8, zero_mask=zero_mask, want=want)
     assert tr.pairs == expected
+    assert len(scanned) == i
     assert len(signed) == 8
 
 

@@ -2,10 +2,14 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ldgmsig import digest
 from ldgmsig.digest import (
     CounterExhausted,
     digest_message,
@@ -15,12 +19,81 @@ from ldgmsig.digest import (
     unrank,
 )
 from ldgmsig.gf2 import BitVector, DenseMatrix
-from ldgmsig.params import ParameterSet, get_params
+from ldgmsig.params import ParameterSet, builtin_sets, get_params
 
 # counter-statistics set: z = 2 and a 6-bit counter keep the geometric
 # search essentially untruncated, so the sample mean sits near 2^z
 MEAN_SET = ParameterSet("mean-test", n=96, k=48, p=2, w=3, w_g=3, w_c=6,
                         z=2, m_t=1, m_s=2, x=8, y=6).validate()
+# three constraint rows: about 8 tries a digest
+Z3_SET = ParameterSet("z3-test", n=96, k=48, p=2, w=3, w_g=3, w_c=6,
+                      z=3, m_t=1, m_s=2, x=8, y=6).validate()
+
+
+def reference_unrank(index, r, w):
+    """The binary search over math.comb that unrank replaced."""
+    support = []
+    for i in range(w, 0, -1):
+        # largest a with C(a, i) <= index
+        lo, hi = i - 1, r - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(mid, i) <= index:
+                lo = mid
+            else:
+                hi = mid - 1
+        support.append(lo)
+        index -= math.comb(lo, i)
+    support.reverse()
+    return support
+
+
+@st.composite
+def unrank_cases(draw):
+    """(r, w, indices): a builtin set or a random r <= 64, with indices
+    drawn by bit length plus 0, 1, the last rank and, for a builtin
+    set, the largest digest index 2^(x+y) - 1."""
+    ps = draw(st.none() | st.sampled_from(builtin_sets()))
+    if ps is None:
+        r = draw(st.integers(1, 64))
+        w = draw(st.integers(1, r))
+        indices = []
+    else:
+        r, w = ps.r, ps.w
+        indices = [(1 << (ps.x + ps.y)) - 1]
+    top = math.comb(r, w) - 1
+    for bits in draw(st.lists(st.integers(0, top.bit_length()), max_size=8)):
+        indices.append(draw(st.integers(1 << bits >> 1, min((1 << bits) - 1, top))))
+    return r, w, indices + [0, min(1, top), top]
+
+
+@given(unrank_cases())
+def test_unrank_matches_binary_search(case):
+    r, w, indices = case
+    for index in indices:
+        assert unrank(index, r, w) == reference_unrank(index, r, w)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda v: 0.0,                   # below i: starts from the clamp at i
+    lambda v: math.exp(v) - 2.5,     # a few steps up
+    lambda v: math.exp(v) + 2.5,     # a few steps down
+    lambda v: 1e300,                 # far above r: starts from r - 1
+], ids=["zero", "low", "high", "huge"])
+def test_unrank_exact_whatever_the_root_estimate(monkeypatch, estimate):
+    # the float root only picks where the exact steps start: a wrong one
+    # costs steps, never a different support, and no binomial beyond the
+    # length r is ever evaluated
+    for r, w in ((12, 2), (40, 5), (64, 9)):
+        def comb(n, k):
+            assert n <= r, f"C({n}, {k}) evaluated for length {r}"
+            return math.comb(n, k)
+        monkeypatch.setattr(digest, "math", SimpleNamespace(
+            comb=comb, exp=estimate, log=math.log, lgamma=math.lgamma))
+        top = math.comb(r, w) - 1
+        for index in sorted({0, 1, 2, top // 3, top // 2, top - 1, top}
+                            | set(range(0, top, top // 97 + 1))):
+            assert unrank(index, r, w) == reference_unrank(index, r, w)
 
 
 def test_unrank_endpoints():
@@ -96,15 +169,22 @@ def test_find_orthogonal_all_ones_parity(toy):
         assert pub.s == map_to_syndrome(h, 0, toy)
 
 
-def test_find_orthogonal_matches_exhaustive_scan():
-    ps = MEAN_SET
+@pytest.mark.parametrize("ps", [MEAN_SET, Z3_SET, get_params("ldgm-80")],
+                         ids=lambda ps: ps.name)
+def test_find_orthogonal_matches_exhaustive_scan(ps):
+    # the scan against the reference unrank and b.mul_vec, counter by
+    # counter in the (l << x) | h layout
     rng = np.random.default_rng(40)
     b = DenseMatrix.from_bits(rng.integers(0, 2, size=(ps.z, ps.r),
                                            dtype=np.uint8))
-    for h in rng.integers(0, 1 << ps.x, size=20):
-        h = int(h)
+
+    def syndrome(h, l):
+        return BitVector.from_support(ps.r, reference_unrank((l << ps.x) | h, ps.r, ps.w))
+
+    for i in range(20):
+        h = digest_message(b"scan-%d" % i, ps)
         want = next((l for l in range(1 << ps.y)
-                     if b.mul_vec(map_to_syndrome(h, l, ps)).weight() == 0),
+                     if b.mul_vec(syndrome(h, l)).weight() == 0),
                     None)
         if want is None:
             with pytest.raises(CounterExhausted):
@@ -113,7 +193,7 @@ def test_find_orthogonal_matches_exhaustive_scan():
             pub = find_orthogonal(h, b, ps)
             assert pub.theta == want
             assert pub.tries == want + 1
-            assert b.mul_vec(pub.s).weight() == 0
+            assert pub.s == syndrome(h, want)
 
 
 def test_find_orthogonal_exhausts_when_nothing_qualifies():
@@ -128,6 +208,8 @@ def test_find_orthogonal_exhausts_when_nothing_qualifies():
 def test_find_orthogonal_rejects_bad_shape(toy):
     with pytest.raises(ValueError):
         find_orthogonal(0, DenseMatrix.zeros(1, toy.r + 1), toy)
+    with pytest.raises(ValueError):
+        find_orthogonal(1 << toy.x, DenseMatrix.zeros(1, toy.r), toy)
 
 
 def test_mean_tries_near_two_to_the_z():

@@ -1,5 +1,7 @@
 """Signing pipeline and verifier behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,32 @@ def test_sign_is_deterministic(toy_keys):
     second = sign(sk, b"repeat me")
     assert first.theta == second.theta
     assert first.e_prime == second.e_prime
+
+
+# one SHA-256 over the (theta, e') pairs of messages b"pin-0", b"pin-1",
+# ... in order, and the counter tries of each, per key; recorded when
+# the counter scan still unranked by binary search over math.comb
+PINNED_SIGNATURES = {
+    "toy-1": ("3c131aae203ca2d266862f9048701ad440df6937064fcd08e992aeaccc9de9f2",
+              [1] * 200),
+    "ldgm-80": ("6ccaaa8bdc41cb311aae0604fd1b24ecabb6b8e9abef91ea816a284fb09fe754",
+                [1, 1, 6, 4, 14, 1, 8, 1, 2, 1, 1, 1, 1, 5, 1, 2, 3, 5, 17, 1]),
+}
+
+
+def signature_pins(sk, count):
+    digest, tries = hashlib.sha256(), []
+    for i in range(count):
+        sig, trace = sign_trace(sk, b"pin-%d" % i)
+        digest.update(sig.theta.to_bytes(4, "little") + sig.e_prime.to_bytes())
+        tries.append(trace.tries)
+    return digest.hexdigest(), tries
+
+
+def test_signature_bytes_are_pinned(toy_keys, ldgm80):
+    got = {sk.ps.name: signature_pins(sk, count)
+           for sk, count in ((toy_keys[0], 200), (ldgm80[0], 20))}
+    assert got == PINNED_SIGNATURES
 
 
 def test_signature_weight_bound_holds(toy, toy_keys):
