@@ -22,6 +22,7 @@ produce them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -307,23 +308,28 @@ class _InformationSets:
 
     def __init__(self, bits: np.ndarray, k: int, stream: HashStream, budget: int):
         self.bits, self.k, self.stream = bits, k, stream
-        self.n = bits.shape[1]
+        self.r, self.n = bits.shape
         self.cap = 50 * budget + 50
         self.redraws = 0
 
     def next(self):
-        """(info, rest, H'_rest^-1), or None past the redraw cap."""
+        """(info, rest, A), or None past the redraw cap.
+
+        A = H'_rest^-1 H'_info as r x k bits: eliminating [H'_rest |
+        H'_info] on its first r columns reduces it to [I | A].
+        """
         while True:
             drawn = self.stream.distinct(self.k, self.n)
             chosen = set(drawn)
             info = np.asarray(sorted(drawn))
             rest = np.asarray([c for c in range(self.n) if c not in chosen])
-            try:
-                return info, rest, DenseMatrix.from_bits(self.bits[:, rest]).invert()
-            except SingularMatrixError:
-                self.redraws += 1
-                if self.redraws > self.cap:
-                    return None
+            work = gf2._pack_bits(self.bits[:, np.concatenate([rest, info])])
+            _, rk = gf2._eliminate(work, self.r)
+            if rk == self.r:
+                return info, rest, gf2._unpack(work, self.n)[:, self.r:]
+            self.redraws += 1
+            if self.redraws > self.cap:
+                return None
 
 
 def isd_codeword_strip(entry: tuple[BitVector, BitVector], pk: PublicKey,
@@ -353,17 +359,12 @@ def isd_codeword_strip(entry: tuple[BitVector, BitVector], pk: PublicKey,
     sets = _InformationSets(bits, ps.k, stream, budget)
     iterations = 0
     while iterations < budget and (drawn := sets.next()) is not None:
-        info, rest, h_rest_inv = drawn
+        info, rest, a = drawn
         iterations += 1
-        rhs_bits = ((bits[:, info] @ e_bits[info]) & 1).astype(np.uint8)
-        rhs = BitVector.from_bytes(
-            ps.r, np.packbits(rhs_bits, bitorder="little").tobytes())
-        solution = h_rest_inv.mul_vec(rhs)
-        cw_bits = np.zeros(ps.n, dtype=np.uint8)
-        cw_bits[info] = e_bits[info]
-        cw_bits[rest] = np.unpackbits(solution.data, count=ps.r,
-                                      bitorder="little")
-        stripped = e_bits ^ cw_bits
+        # e' plus the codeword that agrees with it on info: c''_rest = A e'_info
+        stripped = e_bits.copy()
+        stripped[info] = 0
+        stripped[rest] ^= (a @ e_bits[info]) & 1
         weight = int(stripped.sum())
         if weight <= bound:
             e_low = BitVector.from_support(ps.n, np.nonzero(stripped)[0])
@@ -424,34 +425,22 @@ def low_weight_row_recovery(pk: PublicKey, target_weight: int, budget: int,
     sets = _InformationSets(bits, ps.k, stream, budget)
     work = 0
     while work < budget and len(found) < ps.k and (drawn := sets.next()) is not None:
-        info, rest, h_rest_inv = drawn
+        info, rest, a = drawn
         # systematic generator: row t is the unit vector at info[t]
-        # completed on `rest` by x_t = H_rest^-1 (column info[t] of H'),
-        # column t of H_rest^-1 H'_info
-        completion = h_rest_inv.mul_matrix(DenseMatrix.from_bits(bits[:, info])).to_bits().T
-        for t in range(ps.k):
+        # completed on `rest` by column t of A = H'_rest^-1 H'_info
+        completion = a.T
+        # at most 2 nonzero information symbols: singles, then pairs
+        for combo in chain(combinations(range(ps.k), 1), combinations(range(ps.k), 2)):
             if work >= budget or len(found) >= ps.k:
                 break
             work += 1
-            word = np.zeros(ps.n, dtype=np.uint8)
-            word[info[t]] = 1
-            word[rest] = completion[t]
-            if word.sum() <= target_weight:
+            picks = list(combo)
+            merged = np.bitwise_xor.reduce(completion[picks])
+            if len(picks) + int(merged.sum()) <= target_weight:
+                word = np.zeros(ps.n, dtype=np.uint8)
+                word[info[picks]] = 1
+                word[rest] = merged
                 bank(word)
-        for t1 in range(ps.k):
-            if work >= budget or len(found) >= ps.k:
-                break
-            for t2 in range(t1 + 1, ps.k):
-                if work >= budget or len(found) >= ps.k:
-                    break
-                work += 1
-                merged = completion[t1] ^ completion[t2]
-                if 2 + int(merged.sum()) <= target_weight:
-                    word = np.zeros(ps.n, dtype=np.uint8)
-                    word[info[t1]] = 1
-                    word[info[t2]] = 1
-                    word[rest] = merged
-                    bank(word)
     success = len(found) >= ps.k
     return AttackOutcome(
         "keyrec", success, work,

@@ -258,17 +258,7 @@ class DenseMatrix:
         return DenseMatrix(self.rows, self.cols, self.data ^ other.data)
 
     def transpose(self) -> "DenseMatrix":
-        out = DenseMatrix(self.cols, self.rows)
-        # chunked so huge matrices never materialize a full bit tensor
-        chunk = 4096
-        for start in range(0, self.rows, chunk):
-            stop = min(start + chunk, self.rows)
-            bits = _unpack(self.data[start:stop], self.cols)
-            out.data[:, start >> 3 : (start >> 3) + _width(stop - start)] = _pack_bits(
-                bits.T
-            )
-        _mask_tail(out.data, self.rows)
-        return out
+        return DenseMatrix.from_bits(self.to_bits().T)
 
     def mul_matrix(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.rows:

@@ -216,7 +216,9 @@ def derive_systematic_parity(g: QcMatrix) -> QcMatrix:
         left_inv = left.invert()
     except SingularMatrixError as e:
         raise InformationSetError(str(e)) from None
-    return parity_from_left(left_inv.multiply(right).transpose())
+    # X = (L^-1 R)^T = R^T L^-T: multiply walks the sparse leading rows of
+    # R^T, not the dense ones of L^-1
+    return parity_from_left(right.transpose().multiply(left_inv.transpose()))
 
 
 def parity_from_left(x: QcMatrix) -> QcMatrix:

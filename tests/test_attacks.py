@@ -13,7 +13,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ldgmsig import attacks, gf2
@@ -32,6 +32,7 @@ from ldgmsig.digest import CounterExhausted, digest_message, find_orthogonal, ma
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PublicKey, assemble
 from ldgmsig.params import get_params
+from ldgmsig.rng import HashStream
 from ldgmsig.sign import _sign_syndrome, sign_trace, verify
 
 from conftest import CANON_SEED, GRAM_SEED
@@ -327,6 +328,46 @@ def test_span_basis_banks_like_rank_check(width, words):
         assert span.add(word) == independent
         if independent:
             kept.append(word)
+
+
+class _InvertThenMultiply(attacks._InformationSets):
+    """The route next() replaced: invert H'_rest, then multiply by H'_info."""
+
+    def next(self):
+        while True:
+            drawn = self.stream.distinct(self.k, self.n)
+            info = np.asarray(sorted(drawn))
+            rest = np.setdiff1d(np.arange(self.n), info)
+            try:
+                inv = DenseMatrix.from_bits(self.bits[:, rest]).invert()
+            except gf2.SingularMatrixError:
+                self.redraws += 1
+                if self.redraws > self.cap:
+                    return None
+                continue
+            return info, rest, inv.mul_matrix(
+                DenseMatrix.from_bits(self.bits[:, info])).to_bits()
+
+
+# r = 197 runs the table kernel, with A's first columns sharing a byte
+# with the pivot columns
+@example(r=gf2.TABLE_MIN_ROWS + 5, k=11, density=0.5, seed=3)
+@given(st.integers(1, 16), st.integers(1, 12), st.sampled_from([0.1, 0.3, 0.5]),
+       st.integers(0, 2 ** 32 - 1))
+def test_information_sets_match_invert_then_multiply(r, k, density, seed):
+    # sparse arrays make many draws singular, some make every draw singular
+    bits = (np.random.default_rng(seed).random((r, r + k)) < density).astype(np.uint8)
+    key = hashlib.sha256(b"%d" % seed).digest()
+    sets = attacks._InformationSets(bits, k, HashStream(key), 2)
+    ref = _InvertThenMultiply(bits, k, HashStream(key), 2)
+    for _ in range(3):
+        got, want = sets.next(), ref.next()
+        assert sets.redraws == ref.redraws
+        if want is None:
+            assert got is None
+            break
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 # ------------------------------------------------- pinned information sets
