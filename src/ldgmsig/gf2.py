@@ -12,13 +12,12 @@ Layout conventions used throughout the package:
   payload); with p = 1 every block is one bit, so the grid is a plain
   binary matrix.
 
-The key matrices are all quasi-cyclic.  Dense matrices keep packed rows
-and are the expanded form that elimination works on; operations are
-vectorized over numpy uint8 arrays.  A QC matrix times a vector never
-expands the matrix, and neither does a QC x QC product: leading row i
-of A B is B^T times leading row i of A.  Each product takes one of two
-routes, each read straight from the first rows and each matched to how
-dense the vector is:
+The key matrices are all quasi-cyclic.  Dense matrices keep packed rows,
+and operations on them are vectorized over numpy uint8 arrays.  A QC
+matrix times a vector never expands the matrix, and neither does a
+QC x QC product: leading row i of A B is B^T times leading row i of A.
+Each product takes one of two routes, each read straight from the first
+rows and each matched to how dense the vector is:
 
 * ColumnRotations, for a dense vector (verify's e' has about n/7
   ones).  Column t of a circulant is its column 0 rotated by t, so
@@ -30,15 +29,18 @@ dense the vector is:
   table lists the rows where each column is 1, so M v^T is one gather
   and one bincount parity over the support of v.
 
-Gauss-Jordan elimination (behind invert, rank and solve) picks its kernel
-by the number of rows.  From TABLE_MIN_ROWS rows up it runs the Method of
-Four Russians (Albrecht, Bard & Hart 2010) on uint64 words: eight pivot
-columns at a time, whose pivot rows are reduced among themselves into a
-2^8-row table that updates every other row with one gather.  Below that
-it eliminates one pivot at a time with each packed row held as one
-Python int, so a pivot costs one int XOR per row that has its bit and
-no numpy call: the attacks solve 12-row systems by the thousand.  Both
-kernels reach the same reduced form.
+Dense Gauss-Jordan elimination (behind invert, rank and solve) holds
+each packed row as one Python int, so a pivot costs one int XOR per row
+that has its bit and no numpy call: the attacks solve 12-row systems by
+the thousand, and no dense system in keygen has more than z rows.
+
+A QC matrix is inverted in the ring R = GF(2)[x]/(x^p - 1), never
+expanded: circulants multiply as their first-row polynomials, so the
+n0 x n0 grid is a matrix over R and Gauss-Jordan runs on its blocks,
+each row of [A | I] one Python int of 2 n0 fields of p bits.  Times x^t
+rotates every field by t.  A pivot must be a unit of R; where none is
+at hand, extended Euclid merges the rows below into the pivot row by
+determinant-1 steps until one is, or proves the matrix singular.
 """
 
 from __future__ import annotations
@@ -61,12 +63,6 @@ __all__ = [
     "weight",
     "solve",
 ]
-
-# rows from which _eliminate uses the table kernel: eliminating a random
-# [A | I], the per-pivot int loop takes 0.13x the table kernel's time at
-# 12 rows, 0.47x at 64, 0.77x at 128, 0.94x at 160, 0.96x at 192, 1.04x
-# at 208 and 1.35x at 256 (2-vCPU x86-64 VM)
-TABLE_MIN_ROWS = 192
 
 # unpacked bits (one byte each) that QcMatrix.expand holds per group of
 # block rows: a one-shot expand of ldgm-80's 9800 x 9800 S^T would hold
@@ -310,19 +306,10 @@ def _eliminate(work, ncols):
 
     Pivots are searched in the first ncols columns only; augmented
     columns ride along because whole packed rows are XORed.  The pivot
-    columns end as unit columns (reduced row echelon form).  Returns
-    (pivot column list, rank).
-    """
-    if work.shape[0] >= TABLE_MIN_ROWS:
-        return _eliminate_table(work, ncols)
-    return _eliminate_pivots(work, ncols)
-
-
-def _eliminate_pivots(work, ncols):
-    """_eliminate one pivot at a time, each packed row one Python int.
-
-    Bit c of a row's int is column c, so a pivot row clears its column
-    from every other row with one int XOR.
+    columns end as unit columns (reduced row echelon form).  Each packed
+    row is held as one Python int whose bit c is column c, so a pivot
+    row clears its column from every other row with one int XOR.
+    Returns (pivot column list, rank).
     """
     nrows, nbytes = work.shape
     raw = work.tobytes()
@@ -351,69 +338,6 @@ def _eliminate_pivots(work, ncols):
     return pivots, rk
 
 
-def _eliminate_table(work, ncols):
-    """_eliminate by the Method of Four Russians on uint64 words.
-
-    Columns go in groups of eight.  The group's pivots are found on a
-    copy of its byte in the rows below the pivots, which each new pivot
-    reduces; only the row swaps touch the words.  The 2^m XOR
-    combinations of the m pivot rows form a table.  Their bits in the
-    pivot columns are distinct, so every row finds the one entry that
-    clears its pivot columns: the pivot rows take the entries that leave
-    a unit block, every other row XORs its entry in one gather.  All
-    XORs start at the word holding the group: pivot rows are zero before
-    it.
-    """
-    nrows, nbytes = work.shape
-    words = np.zeros((nrows, -(-nbytes // 8)), dtype=np.uint64)
-    octets = words.view(np.uint8)
-    octets[:, :nbytes] = work
-    pivots = []
-    rk = 0
-    for c0 in range(0, ncols, 8):
-        if rk == nrows:
-            break
-        byte, word = c0 >> 3, c0 >> 6
-        start, span = rk, min(8, ncols - c0)
-        pending = octets[start:, byte] & ((1 << span) - 1)
-        for j in range(span):
-            top = rk - start
-            hits = np.flatnonzero(pending[top:] & (1 << j))
-            if hits.size == 0:
-                continue
-            if hits[0]:
-                piv = rk + int(hits[0])
-                words[[rk, piv]] = words[[piv, rk]]
-                pending[[top, piv - start]] = pending[[piv - start, top]]
-            pending[top + hits[1:]] ^= pending[top]
-            pivots.append(c0 + j)
-            rk += 1
-        m = rk - start
-        if m == 0:
-            continue
-        table = np.zeros((1 << m, words.shape[1] - word), dtype=np.uint64)
-        code = np.zeros(1 << m, dtype=np.intp)
-        for i, bits in enumerate(octets[start:rk, byte].tolist()):
-            table[1 << i : 2 << i] = table[: 1 << i] ^ words[start + i, word:]
-            code[1 << i : 2 << i] = code[: 1 << i] ^ bits
-        units = [1 << (col - c0) for col in pivots[start:]]
-        mask = sum(units)
-        lookup = np.zeros(256, dtype=np.intp)
-        lookup[code & mask] = np.arange(1 << m)
-        words[start:rk, word:] = table[lookup[units]]
-        index = lookup[octets[:, byte] & mask]
-        index[start:rk] = 0
-        rows = np.flatnonzero(index)
-        if 2 * rows.size > index.size:
-            # most rows change: XOR in place, without gathering them
-            tail = words[:, word:]
-            np.bitwise_xor(tail, table[index], out=tail)
-        else:
-            words[rows, word:] ^= table[index[rows]]
-    work[:] = octets[:, :nbytes]
-    return pivots, rk
-
-
 def solve(a: DenseMatrix, rhs: BitVector) -> BitVector | None:
     """One solution x of a x^T = rhs^T, free variables zero; None if none."""
     if a.rows != rhs.length:
@@ -432,6 +356,41 @@ def solve(a: DenseMatrix, rhs: BitVector) -> BitVector | None:
         if (aug[i, wbyte] >> 0) & 1:
             x.data[col >> 3] |= 1 << (col & 7)
     return x
+
+
+def _ones(x: int) -> list[int]:
+    """Positions of the ones of a non-negative int, lowest first."""
+    return [t for t, ch in enumerate(reversed(bin(x))) if ch == "1"]
+
+
+def _field_masks(nbits: int, p: int) -> list[tuple[int, int]]:
+    """masks[t] for rotating every p-bit field of an nbits-bit int by t
+    (bit i of a field to bit (i + t) mod p): the bits i >= t of every
+    field, where x << t lands, and the bits i < t, where x >> (p - t)
+    lands."""
+    full = (1 << nbits) - 1
+    fields = full // ((1 << p) - 1)  # bit 0 of every field
+    return [(high, full ^ high)
+            for high in (((1 << p) - (1 << t)) * fields for t in range(p))]
+
+
+def _poly_xgcd(a: int, b: int) -> tuple[int, int, int, int, int]:
+    """Extended Euclid on GF(2) polynomials held as bit masks (bit i is
+    x^i), a and b not both 0: (g, u, v, a / g, b / g) with
+    g = gcd(a, b) = u a + v b, so [[u, v], [b / g, a / g]] has
+    determinant 1 and takes (a, b) to (g, 0)."""
+    # a = u a0 + v b0 and b = u1 a0 + v1 b0 throughout, and each step
+    # keeps the determinant of [[u, v], [u1, v1]] at 1; once b = 0 its
+    # second row is therefore the coprime pair (b0 / g, a0 / g)
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        while a.bit_length() >= b.bit_length():
+            s = a.bit_length() - b.bit_length()
+            a ^= b << s
+            u ^= u1 << s
+            v ^= v1 << s
+        a, b, u, v, u1, v1 = b, a, u1, v1, u, v
+    return a, u, v, v1, u1
 
 
 class QcMatrix:
@@ -542,31 +501,69 @@ class QcMatrix:
         return self.expand().rank()
 
     def invert(self) -> "QcMatrix":
-        """Inverse, from the n0 leading rows of the dense inverse.
+        """Inverse by Gauss-Jordan over R = GF(2)[x]/(x^p - 1) on the
+        n0 x n0 grid of blocks.
 
-        A QC inverse is fixed by its leading rows (rows i*p), and row i*p
-        of A^-1 is the solution u of A^T u^T = e_{i*p}.  So this eliminates
-        [A^T | E], where E holds only the n0 unit columns e_{i*p}, not the
-        full identity: its right n x n0 half ends as the leading rows,
-        transposed.  A copy of the A^T rows checks the first of them.
+        Row i of [A | I] is one int of 2 n0 fields of p bits; field c
+        holds block (i, c) as a polynomial, the first row's bit t being
+        the coefficient of x^t.  A pivot must be a unit of R, that is
+        coprime to x^p - 1, and the extended gcd against x^p - 1 gives
+        its inverse.  While it is not a unit, the next row below is
+        merged into the pivot row by the extended gcd of the two
+        entries, [[u, v], [b/g, a/g]]: g on top, 0 below, determinant 1.
+        If the rows run out first, the pivot is a non-unit factor of the
+        determinant and A is singular.  The p rotations of each pivot
+        row are formed once, and every other row XORs them over its
+        entry's ones.  The right-half fields end as A^-1's leading rows.
         """
         if self.block_rows != self.block_cols:
             raise ShapeError(f"cannot invert {self.rows}x{self.cols}")
-        n, n0 = self.rows, self.block_rows
-        at = self.transpose().expand().data
-        work = np.zeros((n, _width(n + n0)), dtype=np.uint8)
-        work[:, : at.shape[1]] = at
-        unit = n + np.arange(n0)
-        work[np.arange(n0) * self.p, unit >> 3] |= (1 << (unit & 7)).astype(np.uint8)
-        _, rk = _eliminate(work, n)
-        if rk < n:
-            raise SingularMatrixError(f"rank {rk} < {n}")
-        right = _unpack(work[:, n >> 3 :], (n & 7) + n0)[:, n & 7 :]
-        leading = _pack_bits(np.ascontiguousarray(right.T))
-        check = _parity_rows(at, leading[0])
-        if check[0] != 1 or check[1:].any():
-            raise AssertionError("first leading row u fails A^T u^T = e_0")
-        return QcMatrix.fold_dense_rows(leading, self.block_cols, self.p)
+        n0, p, n = self.block_rows, self.p, self.rows
+        field, modulus = (1 << p) - 1, (1 << p) | 1
+        masks = _field_masks(2 * n, p)
+
+        def rotate(row, t):
+            high, low = masks[t]
+            return ((row << t) & high) | ((row >> (p - t)) & low)
+
+        def times(f, row):
+            out = 0
+            for t in _ones(f):
+                out ^= rotate(row, t)
+            return out
+
+        lead = _pack_bits(_unpack(self.first_rows, p).reshape(n0, n))
+        rows = [int.from_bytes(lead[i].tobytes(), "little") | 1 << (n + i * p)
+                for i in range(n0)]
+        for c in range(n0):
+            shift = c * p
+            for j in range(c + 1, n0 + 1):
+                a = (rows[c] >> shift) & field
+                g, inv = _poly_xgcd(a, modulus)[:2]
+                if g == 1 or j == n0:
+                    break
+                b = (rows[j] >> shift) & field
+                if b:
+                    _, u, v, a_g, b_g = _poly_xgcd(a, b)
+                    rows[c], rows[j] = (times(u, rows[c]) ^ times(v, rows[j]),
+                                        times(b_g, rows[c]) ^ times(a_g, rows[j]))
+            if g != 1:
+                raise SingularMatrixError(f"block column {c} has no unit pivot")
+            top = rows[c] = times(inv, rows[c])
+            rotations = [rotate(top, t) for t in range(p)]
+            for i, row in enumerate(rows):
+                entry = (row >> shift) & field
+                if entry and i != c:
+                    for t in _ones(entry):
+                        row ^= rotations[t]
+                    rows[i] = row
+        inverse = [row >> n for row in rows]
+        check = ColumnRotations(self.transpose()).sum_bytes(_ones(inverse[0]))
+        if check != (1).to_bytes(_width(n), "little"):
+            raise AssertionError("leading row 0 of A^-1 times A is not e_0")
+        leading = b"".join(row.to_bytes(_width(n), "little") for row in inverse)
+        return QcMatrix.fold_dense_rows(
+            np.frombuffer(leading, dtype=np.uint8).reshape(n0, _width(n)), n0, p)
 
     def weight(self) -> int:
         return int(np.bitwise_count(self.first_rows).sum()) * self.p
@@ -614,13 +611,7 @@ class ColumnRotations:
         col0 = _unpack(m.first_rows, p)[:, :, -np.arange(p) % p]  # (br, bc, p)
         stacked = _pack_bits(col0.transpose(1, 0, 2).reshape(bc, self.rows))
         self.columns = [int.from_bytes(row.tobytes(), "little") for row in stacked]
-        # masks[t]: the bits i >= t of every field, where x << t lands,
-        # and the bits i < t, where x >> (p - t) lands; `fields` holds
-        # bit 0 of every field
-        full = (1 << self.rows) - 1
-        fields = full // ((1 << p) - 1)
-        self.masks = [(high, full ^ high)
-                      for high in (((1 << p) - (1 << t)) * fields for t in range(p))]
+        self.masks = _field_masks(self.rows, p)
 
     def sum_bytes(self, support) -> bytes:
         """XOR of the columns in support (ints; a repeat cancels), packed

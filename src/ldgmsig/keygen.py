@@ -20,8 +20,9 @@ They are constant on each block of p columns.
 
 Every random draw comes from a HashStream substream labelled by purpose
 and attempt number, so a master seed reproduces a key pair bit for bit.
-Retry loops (information set, Q and S invertibility) share a common
-attempt cap and abort with a diagnostic rather than looping forever.
+Retry loops (information set, constraints, Q and S invertibility)
+share a common attempt cap and abort with a diagnostic rather than
+looping forever.
 A sparse-map weight m_t that no draw of T can make invertible is
 rejected before the first draw (see _sample_sparse_map).
 
@@ -257,19 +258,11 @@ def _sample_constraints(ps, sub):
             break
     else:
         raise KeyGenerationError("no full-rank constraint matrix")
-    while True:
+    for _ in range(RETRY_CAP):
         a = _random_bits(sub, z, ncols)
         if a.any(axis=1).all():
             return a, b
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    """gcd of two GF(2) polynomials held as bit masks (bit i is x^i)."""
-    while b:
-        while a.bit_length() >= b.bit_length():
-            a ^= b << (a.bit_length() - b.bit_length())
-        a, b = b, a
-    return a
+    raise KeyGenerationError("no constraint left factor without a zero row")
 
 
 def _sample_sparse_map(ps, sub):
@@ -286,7 +279,7 @@ def _sample_sparse_map(ps, sub):
     size = ps.r0
     if ps.m_t > size:
         raise KeyGenerationError("sparse-map weight exceeds block count")
-    if _poly_gcd((1 << ps.m_t) - 1, (1 << size) | 1) != 1:
+    if gf2._poly_xgcd((1 << ps.m_t) - 1, (1 << size) | 1)[0] != 1:
         raise KeyGenerationError(
             f"sparse map is singular for every draw: m_t = {ps.m_t} makes "
             f"1 + x + ... + x^{ps.m_t - 1} share a factor with x^{size} - 1")
@@ -348,10 +341,9 @@ def generate_scrambler(ps: ParameterSet, stream: HashStream):
     placement is dropped; every column weight stays <= m_s, which is all
     the verification bound relies on.
 
-    S^-1 comes from QcMatrix.invert, which eliminates [S^T | E] with only
-    the n0 unit columns e_{i*p} in E and so yields just the leading rows
-    that the QC inverse is made of; it never forms the dense n x n
-    inverse.
+    S^-1 comes from QcMatrix.invert, which runs Gauss-Jordan on the
+    n0 x n0 grid of circulants as polynomials modulo x^p - 1; it never
+    expands S.
     """
     if ps.m_s == 1:
         warnings.warn("column weight 1 makes the scrambler a bare permutation",

@@ -247,12 +247,9 @@ def test_generic_helpers_dispatch():
 
 
 # ------------------------------------------------------ elimination kernels
-# _eliminate has two kernels: the per-pivot loop on Python-int rows
-# below gf2.TABLE_MIN_ROWS rows and the table kernel (Method of Four
-# Russians) from there up.  Here both run at small shapes, called
-# directly or through solve with the threshold lowered, and must agree
-# with reference_eliminate, the per-pivot loop on uint8 rows that the
-# int kernel replaced.
+# _eliminate holds each packed row as one Python int.  It must agree
+# with reference_eliminate, the per-pivot loop on uint8 rows that it
+# replaced, through invert, rank and solve.
 
 @st.composite
 def bit_arrays(draw, square=False, min_rows=1):
@@ -287,7 +284,7 @@ def invertible_qc(rng, br, p):
 
 def reference_eliminate(work, ncols):
     """Gauss-Jordan one pivot at a time on the uint8 rows, in place: the
-    slow reference for both kernels."""
+    slow reference for _eliminate."""
     nrows = work.shape[0]
     pivots = []
     rk = 0
@@ -315,15 +312,14 @@ def reference_eliminate(work, ncols):
 
 
 def kernels_agree(work, ncols):
-    """Eliminate copies of work with the reference and with both kernels,
+    """Eliminate copies of work with the reference and with _eliminate,
     assert the same pivots, rank and work array from each, and return
     the reference's ((pivots, rank), work)."""
     done = work.copy()
     want = reference_eliminate(done, ncols)
-    for kernel in (gf2._eliminate_pivots, gf2._eliminate_table):
-        copy = work.copy()
-        assert kernel(copy, ncols) == want, kernel.__name__
-        assert np.array_equal(copy, done), kernel.__name__
+    copy = work.copy()
+    assert gf2._eliminate(copy, ncols) == want
+    assert np.array_equal(copy, done)
     return want, done
 
 
@@ -349,22 +345,6 @@ def test_table_kernel_ranks_like_pivot_loop(bits, data):
     assert rk == len(pivots) == DenseMatrix.from_bits(bits[:, :ncols]).rank()
 
 
-@pytest.mark.parametrize("rows, kernel", [
-    (gf2.TABLE_MIN_ROWS - 1, "_eliminate_pivots"),
-    (gf2.TABLE_MIN_ROWS, "_eliminate_table"),
-])
-def test_eliminate_dispatches_on_row_count(monkeypatch, rows, kernel):
-    called = []
-    for name in ("_eliminate_pivots", "_eliminate_table"):
-        def spy(work, ncols, name=name, real=getattr(gf2, name)):
-            called.append(name)
-            return real(work, ncols)
-        monkeypatch.setattr(gf2, name, spy)
-    work = np.concatenate([DenseMatrix.identity(rows).data] * 2, axis=1)
-    assert gf2._eliminate(work, rows) == (list(range(rows)), rows)
-    assert called == [kernel]
-
-
 @given(bit_arrays(min_rows=2), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_table_kernel_solves_like_pivot_loop(bits, consistent, seed):
     a = DenseMatrix.from_bits(bits)
@@ -381,21 +361,25 @@ def test_table_kernel_solves_like_pivot_loop(bits, consistent, seed):
         rhs = BitVector.from_support(a.rows, [i for i in rhs.support()
                                               if i != a.rows - 1]
                                      + ([a.rows - 1] if flip else []))
-    want = solve(a, rhs)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf2, "TABLE_MIN_ROWS", 1)
-        got = solve(a, rhs)
-    assert got == want
+    got = solve(a, rhs)
     if consistent:
         assert got is not None and a.mul_vec(got) == rhs
     else:
         assert got is None
 
 
-@given(st.sampled_from([1, 3, 4, 50]), st.data())
+# most block rows drawn per block size p: the dense route inverts
+# up to about 400 expanded rows
+QC_INVERT_BLOCKS = {1: 40, 2: 30, 3: 20, 4: 20, 5: 16, 7: 12, 50: 8, 64: 6,
+                    65: 6, 80: 5, 100: 4}
+
+
+@given(st.sampled_from(sorted(QC_INVERT_BLOCKS)), st.data())
 def test_qc_invert_route_matches_dense_inverse(p, data):
-    # p = 50 from 6 blocks up reaches the table kernel (300 rows and more)
-    most = {1: 40, 3: 20, 4: 20, 50: 11}[p]
+    # x^p - 1 has several distinct irreducible factors for p = 3, 5, 7,
+    # 50, 65, 80 and 100, so a column of an invertible grid may hold no
+    # unit; it has one for p = 1, 2, 4 and 64
+    most = QC_INVERT_BLOCKS[p]
     br = data.draw(st.one_of(st.integers(1, most), st.just(most)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     if data.draw(st.booleans()):
@@ -411,6 +395,54 @@ def test_qc_invert_route_matches_dense_inverse(p, data):
     got = a.invert()
     assert got.expand() == want
     assert a.multiply(got) == QcMatrix.identity(br, p)
+
+
+def qc_from_polys(polys, p):
+    """Square grid whose block (i, j) has first-row polynomial polys[i][j]
+    (bit t is x^t)."""
+    n0 = len(polys)
+    first = np.array([[list(f.to_bytes(gf2._width(p), "little")) for f in row]
+                      for row in polys], dtype=np.uint8)
+    return QcMatrix(n0, n0, p, first)
+
+
+def test_qc_invert_without_a_unit_pivot():
+    # x^3 - 1 = (x + 1)(x^2 + x + 1), and neither x + 1 nor x^2 + x + 1
+    # is a unit; the determinant x^2 is one, so the matrix is invertible
+    a = qc_from_polys([[0b011, 0b001], [0b111, 0b001]], 3)
+    got = a.invert()
+    assert got.expand() == a.expand().invert()
+    assert a.multiply(got) == QcMatrix.identity(2, 3)
+
+
+def test_qc_invert_singular_modulo_one_factor():
+    # diag(x + 1, 1) is singular modulo x + 1 only: its determinant
+    # x + 1 is nonzero, yet no unit
+    a = qc_from_polys([[0b011, 0], [0, 0b001]], 3)
+    with pytest.raises(SingularMatrixError):
+        a.expand().invert()
+    with pytest.raises(SingularMatrixError):
+        a.invert()
+
+
+def clmul(a, b):
+    """Product of GF(2) polynomials held as bit masks."""
+    out = 0
+    for t in range(b.bit_length()):
+        if b >> t & 1:
+            out ^= a << t
+    return out
+
+
+@given(st.integers(0, 2 ** 100 - 1), st.integers(0, 2 ** 100 - 1))
+def test_poly_xgcd_bezout_and_divides(a, b):
+    if a == b == 0:
+        return
+    g, u, v, a_g, b_g = gf2._poly_xgcd(a, b)
+    assert clmul(u, a) ^ clmul(v, b) == g
+    assert clmul(a_g, g) == a and clmul(b_g, g) == b
+    # [[u, v], [b / g, a / g]] has determinant 1
+    assert clmul(u, a_g) ^ clmul(v, b_g) == 1
 
 
 # ------------------------------------------------- first-row products

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ldgmsig import fileio, gf2
+from ldgmsig import fileio, gf2, keygen
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import (
     InformationSetError,
@@ -255,6 +255,15 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
     q = gf2.add(wc.sparse_map,
                 wc.lowrank_left.transpose().mul_matrix(wc.constraints))
     assert gf2.multiply(q, wc.weight_ctrl_inv) == DenseMatrix.identity(heavy.r)
+
+
+def test_constraint_draws_are_capped(toy, monkeypatch):
+    # an all-zero a has a zero row on every draw: the loop gives up
+    # after RETRY_CAP draws in place of spinning forever
+    monkeypatch.setattr(keygen, "_random_bits",
+                        lambda sub, rows, cols: np.zeros((rows, cols), np.uint8))
+    with pytest.raises(KeyGenerationError, match="zero row"):
+        keygen._sample_constraints(toy, HashStream(CANON_SEED))
 
 
 def test_weight_three_sparse_map_round_trip():
