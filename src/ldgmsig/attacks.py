@@ -138,10 +138,9 @@ def build_permutation_keypair(ps: ParameterSet, seed: bytes):
     pi1 = np.asarray(stream.substream(b"perm-q").permutation(ps.r))
     pi2 = np.asarray(stream.substream(b"perm-s").permutation(ps.n))
     p1, p2 = _permutation_grid(pi1), _permutation_grid(pi2)
-    zeros = DenseMatrix(ps.z, ps.r)
     sk, pk = assemble_from_parts(
         ps, seed, QcMatrix.from_dense(g.expand()), QcMatrix.from_dense(h.expand()),
-        zeros, zeros, p1, p1.transpose(), p2, p2.transpose())
+        DenseMatrix(ps.z, ps.r), p1, p1.transpose(), p2, p2.transpose())
     return sk, pk, pi1, pi2
 
 

@@ -1,7 +1,7 @@
 """Key generation: sparse generator, systematic parity check, weight
 control, scrambler, and the published parity-check matrix.
 
-The private side consists of
+Keygen draws
 
 * G: k x n generator with rows of weight exactly w_g;
 * H = [X | I_r]: systematic parity check of the code generated by G;
@@ -11,7 +11,10 @@ The private side consists of
 * S: sparse non-singular scrambler with column weight at most m_s.
 
 The public side is H' = Q^-1 H S^-1 together with b, which may be
-published: it only describes which syndromes the signer accepts.
+published: it only describes which syndromes the signer accepts.  The
+private key is the signing state alone, G, b, T and S, with the seed
+that names it; H, a, Q^-1 and S^-1 exist only while keygen runs, and
+the stages below re-derive them from the seed.
 
 Every key matrix (G, H, T, Q^-1, S, S^-1 and H') is a QcMatrix, a grid
 of p x p circulants; with p = 1 each block is one bit and the grid is a
@@ -23,8 +26,9 @@ and attempt number, so a master seed reproduces a key pair bit for bit.
 Retry loops (information set, constraints, Q and S invertibility)
 share a common attempt cap and abort with a diagnostic rather than
 looping forever.
-A sparse-map weight m_t that no draw of T can make invertible is
-rejected before the first draw (see _sample_sparse_map).
+A sparse-map weight m_t or scrambler weight m_s that no draw of T or S
+can make invertible is rejected before the first draw (see
+_sample_sparse_map and _sample_scrambler).
 
 Inverting Q never eliminates an r x r system: with T invertible and
 R = a^T b of rank at most z, binary Woodbury gives
@@ -59,7 +63,6 @@ __all__ = [
     "Scrambler",
     "generate_systematic",
     "derive_systematic_parity",
-    "parity_from_left",
     "generate_weight_control",
     "generate_scrambler",
     "assemble",
@@ -86,6 +89,19 @@ class WeightControl:
     sparse_map: QcMatrix
     weight_ctrl_inv: QcMatrix
 
+    def low_rank_part(self) -> QcMatrix:
+        """Materialize R = a^T b on the grid of T: a and b are constant on
+        each block of p columns, so every block of R is zero or all ones."""
+        t = self.sparse_map
+        outer = self.lowrank_left.transpose().mul_matrix(self.constraints)
+        r = QcMatrix.zeros(t.block_rows, t.block_cols, t.p)
+        r.first_rows[outer.to_bits()[:: t.p, :: t.p].astype(bool)] = _ones_row(t.p)
+        return r
+
+    def weight_ctrl(self) -> QcMatrix:
+        """Materialize Q = R + T."""
+        return gf2.add(self.low_rank_part(), self.sparse_map)
+
 
 @dataclass
 class Scrambler:
@@ -99,19 +115,17 @@ def _ones_row(p: int) -> np.ndarray:
 
 
 class PrivateKey:
-    def __init__(self, ps, seed, generator, parity_check, lowrank_left,
-                 constraints, sparse_map, weight_ctrl_inv, scrambler,
-                 scrambler_inv):
+    """The signing state: G for the mask, b for the counter scan, T for
+    T s and S for the scatter.  H, a, Q^-1 and S^-1 exist only while
+    keygen runs; the seed names the key and re-derives them."""
+
+    def __init__(self, ps, seed, generator, constraints, sparse_map, scrambler):
         self.ps = ps
         self.seed = seed
         self.generator = generator
-        self.parity_check = parity_check
-        self.lowrank_left = lowrank_left
         self.constraints = constraints
         self.sparse_map = sparse_map
-        self.weight_ctrl_inv = weight_ctrl_inv
         self.scrambler = scrambler
-        self.scrambler_inv = scrambler_inv
         self._gen_rows = None
         self._scr_cols = None
         self._map_cols = None
@@ -136,19 +150,6 @@ class PrivateKey:
         if self._map_cols is None:
             self._map_cols = gf2.ColumnSupports(self.sparse_map)
         return self._map_cols.sum_columns(gf2._support(s)).nonzero()[0]
-
-    def low_rank_part(self) -> QcMatrix:
-        """Materialize R = a^T b on the grid of T: a and b are constant on
-        each block of p columns, so every block of R is zero or all ones."""
-        t = self.sparse_map
-        outer = self.lowrank_left.transpose().mul_matrix(self.constraints)
-        r = QcMatrix.zeros(t.block_rows, t.block_cols, t.p)
-        r.first_rows[outer.to_bits()[:: t.p, :: t.p].astype(bool)] = _ones_row(t.p)
-        return r
-
-    def weight_ctrl(self) -> QcMatrix:
-        """Materialize Q = R + T."""
-        return gf2.add(self.low_rank_part(), self.sparse_map)
 
 
 class PublicKey:
@@ -219,13 +220,9 @@ def derive_systematic_parity(g: QcMatrix) -> QcMatrix:
         raise InformationSetError(str(e)) from None
     # X = (L^-1 R)^T = R^T L^-T: multiply walks the sparse leading rows of
     # R^T, not the dense ones of L^-1
-    return parity_from_left(right.transpose().multiply(left_inv.transpose()))
-
-
-def parity_from_left(x: QcMatrix) -> QcMatrix:
-    """H = [X | I_r] from its r x k left block X."""
-    r0, k0 = x.block_rows, x.block_cols
-    h = QcMatrix.zeros(r0, k0 + r0, x.p)
+    x = right.transpose().multiply(left_inv.transpose())
+    r0 = x.block_rows
+    h = QcMatrix.zeros(r0, k0 + r0, g.p)
     h.first_rows[:, :k0] = x.first_rows
     h.first_rows[np.arange(r0), k0 + np.arange(r0), 0] = 1
     return h
@@ -365,10 +362,24 @@ def _full_cycle(sub, size):
 
 
 def _sample_scrambler(ps, sub):
+    """S = I + m_s - 1 layers along the powers of one n0-cycle rho.
+
+    Mapping each circulant to its weight mod 2 sends S to
+    S(1) = f(P_rho), f = 1 + y + ... + y^(m_s - 1), less one entry for
+    even m_s: a rank-1 change.  f(P_rho) has nullity
+    deg gcd(f, y^n0 - 1), so when that exceeds 1 (even m_s) or 0 (odd
+    m_s), no draw of S is invertible and none is made.
+    """
     drop_last = ps.m_s % 2 == 0
     size = ps.n0
     if ps.m_s > size:
         raise KeyGenerationError("scrambler weight exceeds block count")
+    nullity = gf2._poly_xgcd((1 << ps.m_s) - 1, (1 << size) | 1)[0].bit_length() - 1
+    if nullity > drop_last:
+        raise KeyGenerationError(
+            f"scrambler is singular for every draw: m_s = {ps.m_s} makes "
+            f"1 + y + ... + y^{ps.m_s - 1} share a degree-{nullity} factor "
+            f"with y^{size} - 1")
     rho = _full_cycle(sub, size)
     grid = QcMatrix.identity(size, ps.p)
     cur = np.arange(size)
@@ -388,17 +399,14 @@ def assemble(ps: ParameterSet, seed: bytes):
     g, h = generate_systematic(ps, stream)
     wc = generate_weight_control(ps, stream)
     scr = generate_scrambler(ps, stream)
-    return assemble_from_parts(ps, seed, g, h, wc.lowrank_left, wc.constraints,
-                               wc.sparse_map, wc.weight_ctrl_inv,
-                               scr.scrambler, scr.scrambler_inv)
+    return assemble_from_parts(ps, seed, g, h, wc.constraints, wc.sparse_map,
+                               wc.weight_ctrl_inv, scr.scrambler, scr.scrambler_inv)
 
 
-def assemble_from_parts(ps, seed, generator, parity_check, lowrank_left,
-                        constraints, sparse_map, weight_ctrl_inv, scrambler,
-                        scrambler_inv):
+def assemble_from_parts(ps, seed, generator, parity_check, constraints,
+                        sparse_map, weight_ctrl_inv, scrambler, scrambler_inv):
     """Wire explicit factors into a key pair; H' = Q^-1 H S^-1."""
     h_prime = gf2.multiply(gf2.multiply(weight_ctrl_inv, parity_check), scrambler_inv)
-    sk = PrivateKey(ps, seed, generator, parity_check, lowrank_left, constraints,
-                    sparse_map, weight_ctrl_inv, scrambler, scrambler_inv)
+    sk = PrivateKey(ps, seed, generator, constraints, sparse_map, scrambler)
     pk = PublicKey(ps, h_prime, constraints)
     return sk, pk

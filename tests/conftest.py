@@ -1,5 +1,9 @@
 """Shared fixtures: one toy key pair per session plus custom sets.
 
+The private key holds only the signing state (G, b, T, S).  Tests of
+H, a, Q, Q^-1 and S^-1 read them from the *_factors fixtures, which run
+the keygen stages on the same seed stream as assemble.
+
 DENSE_SET has block size p = 1, so its key matrices are plain binary
 grids of 1 x 1 blocks; its denser generator rows keep the leftmost
 k x k block invertible within the retry cap.  Z2_SET has two constraint
@@ -8,13 +12,23 @@ rows.
 
 import struct
 import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
-from ldgmsig.fileio import FORMAT_VERSION, MATRIX_MAGIC, PUBLIC_MAGIC
-from ldgmsig.keygen import assemble
+from ldgmsig.fileio import PUBLIC_MAGIC
+from ldgmsig.keygen import (
+    Scrambler,
+    WeightControl,
+    assemble,
+    generate_scrambler,
+    generate_systematic,
+    generate_weight_control,
+)
+from ldgmsig.gf2 import QcMatrix
 from ldgmsig.params import ParameterSet, get_params
+from ldgmsig.rng import HashStream
 
 # property tests draw the same examples on every run, and a slow shared
 # machine must not turn a correct example into a deadline failure
@@ -36,9 +50,39 @@ Z2_SET = ParameterSet("z2-test", n=96, k=48, p=2, w=3, w_g=9, w_c=18,
                       z=2, m_t=1, m_s=2, x=8, y=6).validate()
 
 
+class Factors(NamedTuple):
+    generator: QcMatrix
+    parity_check: QcMatrix
+    wc: WeightControl
+    scr: Scrambler
+
+
+def key_factors(ps, seed=CANON_SEED) -> Factors:
+    """Every factor keygen draws for (ps, seed), as assemble draws them."""
+    stream = HashStream(seed)
+    g, h = generate_systematic(ps, stream)
+    return Factors(g, h, generate_weight_control(ps, stream),
+                   generate_scrambler(ps, stream))
+
+
 @pytest.fixture(scope="session")
 def toy():
     return get_params("toy-1")
+
+
+@pytest.fixture(scope="session")
+def toy_factors():
+    return key_factors(get_params("toy-1"))
+
+
+@pytest.fixture(scope="session")
+def dense_factors():
+    return key_factors(DENSE_SET)
+
+
+@pytest.fixture(scope="session")
+def z2_factors():
+    return key_factors(Z2_SET)
 
 
 @pytest.fixture(scope="session")
@@ -75,10 +119,11 @@ def ldgm80():
 
 
 def hostile_public_key() -> bytes:
-    """34-byte toy-1 public key whose dense matrix header claims
-    (2^31 - 1) x (2^31 - 1) and that holds no payload at all."""
+    """34-byte toy-1 public key in the version-1 layout, whose dense
+    matrix header claims (2^31 - 1) x (2^31 - 1) and that holds no
+    payload at all; readers refuse it at the version byte."""
     name = b"toy-1"
     huge = 2 ** 31 - 1
-    return (PUBLIC_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name
-            + MATRIX_MAGIC + bytes([FORMAT_VERSION])
-            + struct.pack("<4I", 0, huge, huge, 1))
+    return (PUBLIC_MAGIC + bytes([1, len(name)]) + name
+            + b"LDGM" + bytes([1]) + struct.pack("<4I", 0, huge, huge, 1))
+

@@ -150,15 +150,18 @@ def test_c3_counter_statistics(toy_keys, ldgm80):
                        for k, v in results.items()))
 
 
-def test_c4_algebraic_invariants(toy, toy_keys):
+def test_c4_algebraic_invariants(toy, toy_keys, toy_factors):
+    # H, Q and the two inverses exist only during keygen: they come from
+    # the keygen stages run on the key's seed
     sk, pk = toy_keys
+    f = toy_factors
     failures = []
 
-    product = gf2.multiply(sk.generator, gf2.transpose(sk.parity_check))
+    product = gf2.multiply(sk.generator, gf2.transpose(f.parity_check))
     check(failures, gf2.weight(product) == 0, "G H^T != 0")
 
     b_rows = sk.constraints.data
-    q = sk.weight_ctrl()
+    q = f.wc.weight_ctrl()
     orthogonal = 0
     clean = True
     for i in range(toy.r):
@@ -174,10 +177,10 @@ def test_c4_algebraic_invariants(toy, toy_keys):
           f"only {orthogonal}/66 weight-2 vectors satisfy the constraints")
     check(failures, clean, "Q s != T s or weight over m_t w on some vector")
 
-    check(failures, gf2.rank(sk.low_rank_part()) <= toy.z,
+    check(failures, gf2.rank(f.wc.low_rank_part()) <= toy.z,
           "low-rank disturbance exceeds rank z")
 
-    h = sk.parity_check
+    h = f.parity_check
     qh = gf2.multiply(q, h)
     check(failures, qh.expand() == gf2.multiply(q.expand(), h.expand()),
           "QC multiply disagrees with dense multiply")
@@ -185,10 +188,10 @@ def test_c4_algebraic_invariants(toy, toy_keys):
           gf2.transpose(h).expand() == gf2.transpose(h.expand()),
           "QC transpose disagrees with dense transpose")
     check(failures,
-          sk.weight_ctrl_inv.expand() == gf2.invert(q.expand()),
+          f.wc.weight_ctrl_inv.expand() == gf2.invert(q.expand()),
           "QC inverse disagrees with dense inverse")
     check(failures,
-          sk.scrambler_inv.expand() == gf2.invert(sk.scrambler.expand()),
+          f.scr.scrambler_inv.expand() == gf2.invert(sk.scrambler.expand()),
           "scrambler inverse disagrees with dense inverse")
 
     total = comb(toy.r, toy.w)

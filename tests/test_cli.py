@@ -13,7 +13,6 @@ import pytest
 import ldgmsig
 from ldgmsig import fileio
 from ldgmsig.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
-from ldgmsig.keygen import PublicKey
 from ldgmsig.sign import sign
 
 from conftest import CANON_SEED, GRAM_SEED, hostile_public_key
@@ -118,28 +117,33 @@ def test_verify_hostile_public_key_is_usage_error(workdir, capsys):
     msg.write_bytes(b"x")
     assert run(["sign", "--key", str(sk_path), "--in", str(msg),
                 "--out", "m.sig"]) == EXIT_OK
-    pk_path.write_bytes(hostile_public_key())
-    capsys.readouterr()
-    assert run(["verify", "--key", str(pk_path), "--in", str(msg),
-                "--sig", "m.sig"]) == EXIT_USAGE
-    assert "expected 12x24" in capsys.readouterr().err
+    # a version-1 key whose matrix header claims 2^31 x 2^31 bits, and a
+    # current key cut off inside H' (13 header bytes, then 18 of H')
+    for raw, reason in ((hostile_public_key(), "unsupported public key version 1"),
+                        (pk_path.read_bytes()[:20], "truncated public parity check")):
+        pk_path.write_bytes(raw)
+        capsys.readouterr()
+        assert run(["verify", "--key", str(pk_path), "--in", str(msg),
+                    "--sig", "m.sig"]) == EXIT_USAGE
+        assert reason in capsys.readouterr().err
 
 
 def test_verify_dense_public_key_is_usage_error(workdir, capsys):
-    # H' written in the dense matrix kind is a format error, not a
-    # crash inside the verifier
+    # H' written as its dense expansion is a format error, not a crash
+    # inside the verifier
     sk_path, pk_path = keygen(workdir)
     msg = workdir / "m.txt"
     msg.write_bytes(b"x")
     assert run(["sign", "--key", str(sk_path), "--in", str(msg),
                 "--out", "m.sig"]) == EXIT_OK
     pk = fileio.load_public_key(pk_path)
-    fileio.save_public_key(
-        pk_path, PublicKey(pk.ps, pk.parity_check.expand(), pk.constraints))
+    header = pk_path.read_bytes()[:13]  # magic, version and b"\x05toy-1"
+    pk_path.write_bytes(header + pk.parity_check.expand().data.tobytes()
+                        + pk.constraints.data.tobytes())
     capsys.readouterr()
     assert run(["verify", "--key", str(pk_path), "--in", str(msg),
                 "--sig", "m.sig"]) == EXIT_USAGE
-    assert "public parity check is stored dense" in capsys.readouterr().err
+    assert "trailing data after public key" in capsys.readouterr().err
 
 
 def test_missing_files_are_usage_errors(workdir, capsys):

@@ -1,19 +1,19 @@
-"""File formats: matrices, key pairs, signatures, and their failure modes."""
+"""File formats: key pairs, signatures, and their failure modes."""
 
-import io
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ldgmsig import fileio
+from ldgmsig.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from ldgmsig.fileio import (
     FORMAT_VERSION,
     FormatError,
+    PUBLIC_MAGIC,
     SECRET_MAGIC,
     SIGNATURE_MAGIC,
-    dump_matrix,
-    load_matrix,
     load_private_key,
     load_public_key,
     load_signature,
@@ -28,89 +28,20 @@ from ldgmsig.sign import Signature, sign, verify
 from conftest import hostile_public_key
 
 
-def roundtrip_matrix(mat):
-    buf = io.BytesIO()
-    dump_matrix(buf, mat)
-    buf.seek(0)
-    back = load_matrix(buf, (mat.rows, mat.cols))
-    assert not buf.read(1)
-    return back
-
-
-def test_matrix_roundtrip_dense():
-    rng = np.random.default_rng(70)
-    mat = DenseMatrix.from_bits(rng.integers(0, 2, size=(5, 13), dtype=np.uint8))
-    back = roundtrip_matrix(mat)
-    assert isinstance(back, DenseMatrix)
-    assert back == mat
-
-
-def test_matrix_roundtrip_qc():
-    rng = np.random.default_rng(71)
-    mat = QcMatrix(3, 4, 5, rng.integers(0, 256, size=(3, 4, 1), dtype=np.uint8))
-    back = roundtrip_matrix(mat)
-    assert isinstance(back, QcMatrix)
-    assert back == mat
-
-
-def test_matrix_rejects_bad_header():
-    buf = io.BytesIO()
-    dump_matrix(buf, DenseMatrix.identity(4))
-    raw = bytearray(buf.getvalue())
-
-    for mutate in (
-        lambda b: b"XXXX" + bytes(b[4:]),              # magic
-        lambda b: bytes(b[:4]) + b"\x07" + bytes(b[5:]),  # version
-        lambda b: bytes(b[:5]) + struct.pack("<I", 2) + bytes(b[9:]),  # kind
-        lambda b: bytes(b[:-1]),                        # truncated payload
-    ):
-        with pytest.raises(FormatError):
-            load_matrix(io.BytesIO(mutate(raw)), (4, 4))
-    # extra bytes are the caller's problem: load_matrix must leave them
-    buf = io.BytesIO(bytes(raw) + b"\x55")
-    load_matrix(buf, (4, 4))
-    assert buf.read() == b"\x55"
-
-
-def test_matrix_rejects_shape_lies():
-    buf = io.BytesIO()
-    dump_matrix(buf, QcMatrix(2, 2, 4, None))
-    raw = bytearray(buf.getvalue())
-    # p = 3 no longer divides the stored 8 x 8 dimensions
-    raw[17:21] = struct.pack("<I", 3)
-    with pytest.raises(FormatError):
-        load_matrix(io.BytesIO(raw), (8, 8))
-    # dense kind must carry p = 1
-    buf = io.BytesIO()
-    dump_matrix(buf, DenseMatrix.identity(4))
-    raw = bytearray(buf.getvalue())
-    raw[17:21] = struct.pack("<I", 4)
-    with pytest.raises(FormatError):
-        load_matrix(io.BytesIO(raw), (4, 4))
-
-
-def test_hostile_header_rejected_before_payload(tmp_path):
+def test_hostile_header_rejected_before_payload(tmp_path, toy_keys):
+    # a version-1 public key whose matrix header claims a 2^31 x 2^31
+    # payload is refused at its version byte
     raw = hostile_public_key()
     assert len(raw) == 34
     path = tmp_path / "hostile.pk"
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match="expected 12x24"):
+    with pytest.raises(FormatError, match="unsupported public key version 1"):
         load_public_key(path)
-    # asked for that shape, the reader stops where the bytes end
-    huge = 2 ** 31 - 1
-    with pytest.raises(FormatError, match="truncated"):
-        load_matrix(io.BytesIO(raw[13:]), (huge, huge))
-
-
-def test_payload_read_in_chunks(monkeypatch):
-    monkeypatch.setattr(fileio, "READ_CHUNK", 3)
-    rng = np.random.default_rng(72)
-    mat = DenseMatrix.from_bits(rng.integers(0, 2, size=(5, 13), dtype=np.uint8))
-    assert roundtrip_matrix(mat) == mat
-    buf = io.BytesIO()
-    dump_matrix(buf, mat)
-    with pytest.raises(FormatError, match="wanted 10 bytes, got 9"):
-        load_matrix(io.BytesIO(buf.getvalue()[:-1]), (5, 13))
+    # a current public key cut off inside H' stops where the bytes end
+    save_public_key(path, toy_keys[1])
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(FormatError, match="truncated public parity check"):
+        load_public_key(path)
 
 
 def test_private_key_roundtrip(tmp_path, toy_keys):
@@ -121,8 +52,8 @@ def test_private_key_roundtrip(tmp_path, toy_keys):
     assert back.ps.name == "toy-1"
     assert isinstance(back.generator, QcMatrix)
     assert back.generator == sk.generator
-    assert back.parity_check == sk.parity_check
     assert back.constraints == sk.constraints
+    assert back.sparse_map == sk.sparse_map
     assert back.scrambler == sk.scrambler
     assert back.seed == sk.seed
     # the reloaded key signs identically
@@ -134,46 +65,55 @@ def test_private_key_roundtrip(tmp_path, toy_keys):
     assert second.read_bytes() == path.read_bytes()
 
 
+def payload(mat):
+    """The bytes a key file holds for mat: first rows, or dense rows."""
+    return (mat.first_rows if isinstance(mat, QcMatrix) else mat.data).tobytes()
+
+
 def test_private_key_rejects_mixed_kinds(tmp_path, toy_keys):
-    # any one of the six key matrices stored in the dense kind is refused
+    # any one of the key matrices stored as its dense expansion is refused
     sk, _ = toy_keys
     name = sk.ps.name.encode()
-    parts = [("generator", sk.generator),
-             ("parity left block", fileio._left_block(sk.parity_check)),
-             ("constraint left factor", sk.lowrank_left),
-             ("constraint matrix", sk.constraints), ("sparse map", sk.sparse_map),
-             ("scrambler", sk.scrambler), ("scrambler inverse", sk.scrambler_inv),
-             ("weight control inverse", sk.weight_ctrl_inv)]
+    parts = [("generator", sk.generator), ("constraint matrix", sk.constraints),
+             ("sparse map", sk.sparse_map), ("scrambler", sk.scrambler)]
 
     def key_bytes(dense=None):
-        buf = io.BytesIO()
-        buf.write(SECRET_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name + sk.seed)
+        out = SECRET_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name + sk.seed
         for what, mat in parts:
-            dump_matrix(buf, mat.expand() if what == dense else mat)
-        return buf.getvalue()
+            out += payload(mat.expand() if what == dense else mat)
+        return out
 
     path = tmp_path / "mixed.sk"
     save_private_key(path, sk)
     assert key_bytes() == path.read_bytes()
+    assert len(path.read_bytes()) == 110
     for what, mat in parts:
         if isinstance(mat, DenseMatrix):
             continue
         path.write_bytes(key_bytes(dense=what))
-        with pytest.raises(FormatError,
-                           match=f"{what} is stored dense, expected quasi-cyclic"):
+        with pytest.raises(FormatError, match="trailing data after private key"):
             load_private_key(path)
 
 
 def test_public_key_rejects_dense_parity_check(tmp_path, toy_keys):
     _, pk = toy_keys
+    name = pk.ps.name.encode()
+    header = PUBLIC_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name
     path = tmp_path / "dense.pk"
-    save_public_key(path, PublicKey(pk.ps, pk.parity_check.expand(), pk.constraints))
-    with pytest.raises(FormatError, match="public parity check is stored dense"):
+    save_public_key(path, pk)
+    assert path.read_bytes() == header + payload(pk.parity_check) + payload(pk.constraints)
+    assert len(path.read_bytes()) == 33
+    path.write_bytes(header + payload(pk.parity_check.expand()) + payload(pk.constraints))
+    with pytest.raises(FormatError, match="trailing data after public key"):
         load_public_key(path)
     grid_b = QcMatrix.from_dense(pk.constraints)
-    save_public_key(path, PublicKey(pk.ps, pk.parity_check, grid_b))
-    with pytest.raises(FormatError, match="constraint matrix is stored quasi-cyclic"):
+    path.write_bytes(header + payload(pk.parity_check) + payload(grid_b))
+    with pytest.raises(FormatError, match="trailing data after public key"):
         load_public_key(path)
+    # and the writer refuses to store H' off the parameter set's grid
+    with pytest.raises(ValueError, match="does not fit the toy-1 layout"):
+        save_public_key(path, PublicKey(pk.ps, QcMatrix.from_dense(
+            pk.parity_check.expand()), pk.constraints))
 
 
 def test_public_key_roundtrip(tmp_path, toy_keys):
@@ -259,3 +199,84 @@ def test_empty_support_signature_roundtrips(tmp_path):
     path.write_bytes(sig_bytes(0, []))
     _, sig = load_signature(path)
     assert sig.e_prime.weight() == 0
+
+
+MESSAGE = b"fuzzed file"
+HEADER_BYTES = 13  # magic, version, name length and b"toy-1"
+
+
+@pytest.fixture(scope="module")
+def toy_files(tmp_path_factory, toy_keys):
+    """A saved toy-1 key pair and a signature of MESSAGE under it."""
+    sk, pk = toy_keys
+    root = tmp_path_factory.mktemp("toy-files")
+    save_private_key(root / "k.sk", sk)
+    save_public_key(root / "k.pk", pk)
+    save_signature(root / "m.sig", "toy-1", sign(sk, MESSAGE))
+    (root / "m.txt").write_bytes(MESSAGE)
+    return root
+
+
+@pytest.mark.parametrize("name, what, load", [
+    ("k.sk", "private key", load_private_key),
+    ("k.pk", "public key", load_public_key),
+    ("m.sig", "signature", load_signature),
+])
+def test_version_one_files_are_refused(tmp_path, toy_files, name, what, load):
+    raw = bytearray(toy_files.joinpath(name).read_bytes())
+    assert raw[6] == FORMAT_VERSION == 2
+    raw[6] = 1
+    path = tmp_path / name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"unsupported {what} version 1"):
+        load(path)
+
+
+@st.composite
+def mutated(draw, raw: bytes) -> bytes:
+    """raw after one to three truncations, byte flips, header edits or
+    appended bytes."""
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "flip", "header", "append"]))
+        if kind == "truncate":
+            del out[draw(st.integers(0, len(out))):]
+        elif kind == "append":
+            out += draw(st.binary(min_size=1, max_size=40))
+        elif out:
+            top = min(len(out), HEADER_BYTES) if kind == "header" else len(out)
+            at = draw(st.integers(0, top - 1))
+            out[at] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def _mutation_loads(tmp_path, toy_files, data, name, load):
+    raw = data.draw(mutated(toy_files.joinpath(name).read_bytes()))
+    path = tmp_path / name
+    path.write_bytes(raw)
+    try:
+        load(path)
+    except FormatError:
+        pass
+    return path
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_private_key_loads_or_raises_format_error(tmp_path, toy_files, data):
+    _mutation_loads(tmp_path, toy_files, data, "k.sk", load_private_key)
+
+
+@pytest.mark.parametrize("name, load", [("k.pk", load_public_key),
+                                        ("m.sig", load_signature)])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_verify_inputs_exit_cleanly(tmp_path, toy_files, capsys, name, load, data):
+    # the reader returns or raises FormatError, and `ldgmsig verify` on
+    # the mutated file ends in an exit code, never an exception
+    path = _mutation_loads(tmp_path, toy_files, data, name, load)
+    files = {"k.pk": toy_files / "k.pk", "m.sig": toy_files / "m.sig", name: path}
+    code = run(["verify", "--key", str(files["k.pk"]), "--in", str(toy_files / "m.txt"),
+                "--sig", str(files["m.sig"])])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in capsys.readouterr().err

@@ -23,7 +23,7 @@ from ldgmsig.params import ParameterSet
 from ldgmsig.rng import HashStream
 from ldgmsig.sign import sign, sign_trace, verify
 
-from conftest import CANON_SEED, DENSE_SET, Z2_SET
+from conftest import CANON_SEED, DENSE_SET, Z2_SET, key_factors
 
 
 def all_weight_w(ps):
@@ -70,19 +70,19 @@ def test_generator_shape_and_row_weight(toy, toy_keys):
     assert np.array_equal(dense.row_weights(), np.full(toy.k, toy.w_g))
 
 
-def test_parity_check_is_systematic(toy, toy_keys):
+def test_parity_check_is_systematic(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    h = sk.parity_check.expand()
+    h = toy_factors.parity_check.expand()
     right = DenseMatrix.from_bits(h.to_bits()[:, toy.k:])
     assert right == DenseMatrix.identity(toy.r)
     assert sk.generator.expand().mul_matrix(h.transpose()).weight() == 0
 
 
-def test_dense_path_mirrors_qc_contracts(dense_keys):
+def test_dense_path_mirrors_qc_contracts(dense_keys, dense_factors):
     sk, pk = dense_keys
     ps = sk.ps
     g = sk.generator.expand()
-    assert g.mul_matrix(sk.parity_check.expand().transpose()).weight() == 0
+    assert g.mul_matrix(dense_factors.parity_check.expand().transpose()).weight() == 0
     assert np.array_equal(g.row_weights(), np.full(ps.k, ps.w_g))
     assert pk.parity_check.rank() == ps.r
     sig_cols = sk.scrambler.expand().col_weights()
@@ -108,9 +108,8 @@ def test_constraints_have_no_zero_column(toy, toy_keys, dense_keys):
         assert b.col_weights().min() >= 1
 
 
-def test_low_rank_part_stays_low_rank(toy, toy_keys):
-    sk, _ = toy_keys
-    assert gf2.rank(sk.low_rank_part()) <= toy.z
+def test_low_rank_part_stays_low_rank(toy, toy_factors):
+    assert gf2.rank(toy_factors.wc.low_rank_part()) <= toy.z
 
 
 def test_sparse_map_is_permutation_when_m_t_is_one(toy, toy_keys):
@@ -120,13 +119,13 @@ def test_sparse_map_is_permutation_when_m_t_is_one(toy, toy_keys):
     assert np.array_equal(t.col_weights(), np.ones(toy.r))
 
 
-def test_weight_control_annihilates_orthogonal_syndromes(toy, toy_keys):
+def test_weight_control_annihilates_orthogonal_syndromes(toy, toy_keys, toy_factors):
     # exhaustive over all C(12,2) = 66 weight-w syndromes: b s = 0 makes
     # Q act as the sparse map alone. z = 1 pins b to the all-ones row,
     # so every even-weight vector is orthogonal; the odd-weight vectors
     # supply the complementary class, which a^T (b s) must perturb.
     sk, _ = toy_keys
-    q = sk.weight_ctrl()
+    q = toy_factors.wc.weight_ctrl()
     t = sk.sparse_map
     b = sk.constraints
     count = 0
@@ -147,11 +146,11 @@ def test_weight_control_annihilates_orthogonal_syndromes(toy, toy_keys):
     assert mismatches >= 0.99 * odd
 
 
-def test_weight_control_random_draws_both_classes(z2_keys):
+def test_weight_control_random_draws_both_classes(z2_keys, z2_factors):
     # z = 2 splits the weight-w vectors into both classes for real
     sk, _ = z2_keys
     ps = sk.ps
-    q, t, b = sk.weight_ctrl(), sk.sparse_map, sk.constraints
+    q, t, b = z2_factors.wc.weight_ctrl(), sk.sparse_map, sk.constraints
     rng = np.random.default_rng(51)
     orthogonal = nonorthogonal = mismatches = 0
     for _ in range(1000):
@@ -168,39 +167,52 @@ def test_weight_control_random_draws_both_classes(z2_keys):
     assert mismatches >= 0.99 * nonorthogonal
 
 
-def test_weight_control_inverse_is_inverse(toy_keys):
-    sk, _ = toy_keys
-    q = sk.weight_ctrl()
-    prod = gf2.multiply(q, sk.weight_ctrl_inv)
-    assert prod.expand() == DenseMatrix.identity(sk.ps.r)
+def test_weight_control_inverse_is_inverse(toy, toy_factors):
+    wc = toy_factors.wc
+    q = wc.weight_ctrl()
+    prod = gf2.multiply(q, wc.weight_ctrl_inv)
+    assert prod.expand() == DenseMatrix.identity(toy.r)
 
 
-def test_scrambler_inverse_and_column_bound(toy, toy_keys):
+def test_scrambler_inverse_and_column_bound(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
     s_dense = sk.scrambler.expand()
-    prod = gf2.multiply(sk.scrambler, sk.scrambler_inv)
+    prod = gf2.multiply(sk.scrambler, toy_factors.scr.scrambler_inv)
     assert prod.expand() == DenseMatrix.identity(toy.n)
     assert s_dense.col_weights().max() <= toy.m_s
 
 
-def test_public_key_factorization(toy, toy_keys):
-    sk, pk = toy_keys
+def test_public_key_factorization(toy, toy_keys, toy_factors):
+    _, pk = toy_keys
+    f = toy_factors
     lhs = pk.parity_check.expand()
-    rhs = sk.weight_ctrl_inv.expand().mul_matrix(
-        sk.parity_check.expand()).mul_matrix(sk.scrambler_inv.expand())
+    rhs = f.wc.weight_ctrl_inv.expand().mul_matrix(
+        f.parity_check.expand()).mul_matrix(f.scr.scrambler_inv.expand())
     assert lhs == rhs
     assert pk.payload_bits() == toy.r * toy.n // toy.p
 
 
-def test_identity_hooks_expose_parity_check(toy, toy_keys):
+def test_identity_hooks_expose_parity_check(toy, toy_keys, toy_factors):
     # wiring Q = S = identity leaves H' = H
     sk, _ = toy_keys
     eye_r = QcMatrix.identity(toy.r0, toy.p)
     eye_n = QcMatrix.identity(toy.n0, toy.p)
     _, pk = assemble_from_parts(
-        toy, CANON_SEED, sk.generator, sk.parity_check, sk.lowrank_left,
+        toy, CANON_SEED, sk.generator, toy_factors.parity_check,
         sk.constraints, sk.sparse_map, eye_r, eye_n, eye_n)
-    assert pk.parity_check == sk.parity_check
+    assert pk.parity_check == toy_factors.parity_check
+
+
+def test_private_key_is_the_signing_state(toy_keys, toy_factors):
+    # assemble keeps exactly G, b, T and S of the factors it drew
+    sk, _ = toy_keys
+    f = toy_factors
+    assert sk.generator == f.generator
+    assert sk.constraints == f.wc.constraints
+    assert sk.sparse_map == f.wc.sparse_map
+    assert sk.scrambler == f.scr.scrambler
+    assert {k for k in vars(sk) if not k.startswith("_")} == {
+        "ps", "seed", "generator", "constraints", "sparse_map", "scrambler"}
 
 
 def test_bare_permutation_scrambler_warns(toy):
@@ -209,12 +221,12 @@ def test_bare_permutation_scrambler_warns(toy):
         generate_scrambler(thin, HashStream(CANON_SEED))
 
 
-def test_weight_control_matches_factors(toy_keys):
-    sk, _ = toy_keys
-    r_part = sk.low_rank_part()
-    q = sk.weight_ctrl()
-    assert gf2.add(q, sk.sparse_map).expand() == r_part.expand()
-    outer = sk.lowrank_left.transpose().mul_matrix(sk.constraints)
+def test_weight_control_matches_factors(toy_factors):
+    wc = toy_factors.wc
+    r_part = wc.low_rank_part()
+    q = wc.weight_ctrl()
+    assert gf2.add(q, wc.sparse_map).expand() == r_part.expand()
+    outer = wc.lowrank_left.transpose().mul_matrix(wc.constraints)
     assert r_part.expand() == outer
 
 
@@ -257,6 +269,33 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
     assert gf2.multiply(q, wc.weight_ctrl_inv) == DenseMatrix.identity(heavy.r)
 
 
+# S(1) = f(P_rho) with f = 1 + y + ... + y^(m_s - 1) over one n0-cycle,
+# less one entry for even m_s, has nullity at least
+# deg gcd(f, y^n0 - 1) - [m_s even]: deg gcd is 1, 0, 3, 0, 1, 6, 4, 0 for
+# m_s = 2..9 at n0 = 28 and 1, 2, 3, 0, 5, 0, 7, 2 at n0 = 48
+@pytest.mark.parametrize("ps, m_s, singular", [
+    (DENSE_SET, 2, False), (DENSE_SET, 3, False), (DENSE_SET, 4, True),
+    (DENSE_SET, 5, False), (DENSE_SET, 6, False), (DENSE_SET, 7, True),
+    (DENSE_SET, 8, True), (DENSE_SET, 9, False),
+    (Z2_SET, 2, False), (Z2_SET, 3, True), (Z2_SET, 4, True),
+    (Z2_SET, 5, False), (Z2_SET, 6, True), (Z2_SET, 7, False),
+    (Z2_SET, 8, True), (Z2_SET, 9, True),
+], ids=lambda v: getattr(v, "name", v))
+def test_scrambler_weight_screened_before_drawing(ps, m_s, singular, monkeypatch):
+    heavy = dataclasses.replace(ps, m_s=m_s).validate()
+    if singular:
+        drawn = []
+        monkeypatch.setattr(keygen, "_full_cycle", lambda *args: drawn.append(args))
+        with pytest.raises(KeyGenerationError, match="singular for every draw"):
+            generate_scrambler(heavy, HashStream(CANON_SEED))
+        assert drawn == []
+        return
+    scr = generate_scrambler(heavy, HashStream(CANON_SEED))
+    assert gf2.multiply(scr.scrambler, scr.scrambler_inv) == QcMatrix.identity(
+        heavy.n0, heavy.p)
+    assert scr.scrambler.expand().col_weights().max() <= m_s
+
+
 def test_constraint_draws_are_capped(toy, monkeypatch):
     # an all-zero a has a zero row on every draw: the loop gives up
     # after RETRY_CAP draws in place of spinning forever
@@ -272,7 +311,8 @@ def test_weight_three_sparse_map_round_trip():
     # supports, must match the expanded product
     ps = dataclasses.replace(DENSE_SET, m_t=3).validate()
     sk, pk = assemble(ps, CANON_SEED)
-    prod = gf2.multiply(sk.weight_ctrl(), sk.weight_ctrl_inv)
+    wc = key_factors(ps).wc
+    prod = gf2.multiply(wc.weight_ctrl(), wc.weight_ctrl_inv)
     assert prod.expand() == DenseMatrix.identity(ps.r)
     t = sk.sparse_map.expand()
     assert np.array_equal(t.row_weights(), np.full(ps.r, 3))
@@ -283,22 +323,21 @@ def test_weight_three_sparse_map_round_trip():
         assert trace.mapped == t.mul_vec(trace.syndrome)
         assert verify(pk, msg, sig).accepted
 
-# SHA-256 of the key files saved from CANON_SEED, recorded with the
-# per-pivot dense elimination that keygen used before the table kernel
-# and the [A^T | E] inverse route. Acceptance 9 compares two runs of the
-# same code, so only these pins catch a kernel that changes every key
-# the same way; a new digest here means a deliberate change of keys.
-# dense-test's pair was re-recorded when its key matrices moved from
-# the dense file kind to p = 1 grids of the qc kind, with the same bits.
+# SHA-256 of the key files saved from CANON_SEED. Acceptance 9 compares
+# two runs of the same code, so only these pins catch a kernel that
+# changes every key the same way; a new digest here means a deliberate
+# change of keys or of the file format. Re-recorded once for format
+# version 2 (bare payloads, private key G, b, T, S), with every stored
+# matrix bit-identical to the version-1 files.
 PINNED_KEY_DIGESTS = {
-    "toy-1.sk": "c43a37c98bb85221463ae41fb617fe12c5a0a05012d82cbfeac5597665775cfa",
-    "toy-1.pk": "48eaa18babf33df32a6147972cb9725506ba211237af159250b59c7453a82bf8",
-    "z2-test.sk": "3e30b84f79ef689db4bf2ae5269068d23b3ec303a08ffc40c1041bae42f3a171",
-    "z2-test.pk": "1b3cdaf9e658c56bdcb077e89ddedf5509c138b2f541a1c3cf8824617b865360",
-    "dense-test.sk": "14dd9f8bd1220b3161c9086e2f6745ea1e4b1ae8b52bd3876817ca01a0fdc700",
-    "dense-test.pk": "a9c5ae80995b8029f184a5897100d27a2d79fd8d7f53cf2d6e09a9a5a12615f4",
-    "ldgm-80.sk": "424fb7f3a878b52f5f922c46f33c3fedf637d08f342931538f8467afff63f90c",
-    "ldgm-80.pk": "2d6335e7cb31eac38146620e26ec36f0a9ba9f9593bcd9efae1c9e9609f706aa",
+    "toy-1.sk": "7a151a073e15c58b241bc7b9a06e8cb9ecb3f811b86028d312b40acd89d5c3f3",
+    "toy-1.pk": "59527b3eb275508370b993b91e5bd6e280ef1a74ddd1529a53466565914fd395",
+    "z2-test.sk": "8cd853805ff7e13ceb6f080e81f25421d5d8844d68f4721672eed5eee15e5d26",
+    "z2-test.pk": "273a7fc5009d51876c03a9722d4e03a5505b3d9bf4a489ed5c5fee04afc90b1b",
+    "dense-test.sk": "fdfe2e99bbd7501e95f7e646fb37f09c2cd14af84d6c1e702a74bf0c14df415d",
+    "dense-test.pk": "14e916825b57bc89e7f6cb99f074942fda812b4cf551513c6e2735960993e405",
+    "ldgm-80.sk": "9ac89c00593bd5f7865b436bfca15b62e519125296f2262e064f1f9ffbc7838c",
+    "ldgm-80.pk": "f38d8d0685adbc7be2637f577ec6f6ec9474149f80b7371ac450cf3980531b8f",
 }
 
 

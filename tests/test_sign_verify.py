@@ -32,10 +32,10 @@ def embed(ps, mapped):
     return BitVector.from_support(ps.n, [ps.k + i for i in mapped.support()])
 
 
-def test_padding_decode_satisfies_parity(toy, toy_keys):
+def test_padding_decode_satisfies_parity(toy, toy_keys, toy_factors):
     # e = [0_k | s'] reproduces the private syndrome through H = [X | I_r]
     sk, _ = toy_keys
-    h = sk.parity_check.expand()
+    h = toy_factors.parity_check.expand()
     for i in range(20):
         _, trace = sign_trace(sk, b"decode-%d" % i)
         e = embed(toy, trace.mapped)
@@ -43,9 +43,9 @@ def test_padding_decode_satisfies_parity(toy, toy_keys):
         assert h.mul_vec(e) == trace.mapped
 
 
-def test_mask_is_a_codeword_with_bounded_weight(toy, toy_keys):
+def test_mask_is_a_codeword_with_bounded_weight(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    h_t = sk.parity_check.expand().transpose()
+    h_t = toy_factors.parity_check.expand().transpose()
     floor = toy.w_c - 2 * toy.w_g
     for i in range(50):
         _, trace = sign_trace(sk, b"mask-%d" % i)
@@ -150,22 +150,22 @@ def test_signature_weight_bound_holds(toy, toy_keys):
         assert verify(pk, b"bound-%d" % i, sig).accepted
 
 
-def test_private_syndrome_untouched_by_mask(toy, toy_keys):
+def test_private_syndrome_untouched_by_mask(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    h = sk.parity_check.expand()
+    h = toy_factors.parity_check.expand()
     for i in range(50):
         _, trace = sign_trace(sk, b"invariant-%d" % i)
         masked = embed(toy, trace.mapped).xor(trace.mask)
         assert h.mul_vec(masked) == trace.mapped
 
 
-def test_identity_pipeline_exposes_padded_syndrome(toy, toy_keys):
+def test_identity_pipeline_exposes_padded_syndrome(toy, toy_keys, toy_factors):
     # Q = S = identity and c = 0 reduce signing to e' = [0 | s]
     sk, _ = toy_keys
     eye_r = QcMatrix.identity(toy.r0, toy.p)
     eye_n = QcMatrix.identity(toy.n0, toy.p)
     hook_sk, hook_pk = assemble_from_parts(
-        toy, CANON_SEED, sk.generator, sk.parity_check, sk.lowrank_left,
+        toy, CANON_SEED, sk.generator, toy_factors.parity_check,
         sk.constraints, eye_r, eye_r, eye_n, eye_n)
     for i in range(20):
         msg = b"hook-%d" % i
@@ -239,10 +239,8 @@ def test_counter_exhaustion_propagates(toy, toy_keys):
     # a constraint matrix with a unit row per position rejects every
     # syndrome, so the signer runs out of counters
     sk, _ = toy_keys
-    starved = PrivateKey(toy, sk.seed, sk.generator, sk.parity_check,
-                         sk.lowrank_left, DenseMatrix.identity(toy.r),
-                         sk.sparse_map, sk.weight_ctrl_inv, sk.scrambler,
-                         sk.scrambler_inv)
+    starved = PrivateKey(toy, sk.seed, sk.generator, DenseMatrix.identity(toy.r),
+                         sk.sparse_map, sk.scrambler)
     with pytest.raises(CounterExhausted):
         sign(starved, b"anything")
 
