@@ -116,9 +116,7 @@ class AttackOutcome:
 
 def _permutation_grid(perm: np.ndarray) -> QcMatrix:
     """Permutation matrix with its row-i bit at column perm[i], p = 1."""
-    grid = QcMatrix.zeros(perm.size, perm.size, 1)
-    grid.first_rows[np.arange(perm.size), perm, 0] = 1
-    return grid
+    return QcMatrix.grid(perm.size, perm.size, 1, [(i, j, 0) for i, j in enumerate(perm)])
 
 
 def build_permutation_keypair(ps: ParameterSet, seed: bytes):
@@ -144,10 +142,6 @@ def build_permutation_keypair(ps: ParameterSet, seed: bytes):
     return sk, pk, pi1, pi2
 
 
-def _stack_packed(vectors: list[BitVector]) -> np.ndarray:
-    return np.stack([v.data for v in vectors])
-
-
 def linearity_forge(pk: PublicKey, transcript: SignatureTranscript,
                     message: bytes) -> AttackOutcome:
     """Forge by expressing the target syndrome as a combination of
@@ -166,7 +160,7 @@ def linearity_forge(pk: PublicKey, transcript: SignatureTranscript,
     syn_bits = np.stack([np.unpackbits(s.data, count=ps.r, bitorder="little")
                          for s, _ in transcript.pairs], axis=1)
     syn_matrix = DenseMatrix.from_bits(syn_bits)
-    sig_rows = _stack_packed([e for _, e in transcript.pairs])
+    sig_rows = np.stack([e.data for _, e in transcript.pairs])
     h = digest_message(message, ps)
     work = 0
     for theta in range(1 << ps.y):
@@ -190,16 +184,17 @@ def linearity_forge(pk: PublicKey, transcript: SignatureTranscript,
                          {"no_solution": True, "transcript": transcript.count})
 
 
-def right_inverse_gram(pk: PublicKey) -> gf2.ColumnRotations:
-    """(H' H'^T)^-1, the reusable half of the right-inverse forgery, held
-    as the rotated columns that each forgery multiplies by.
+def right_inverse_gram(pk: PublicKey) -> tuple[gf2.ColumnRotations, gf2.ColumnRotations]:
+    """What every right-inverse forgery under pk multiplies by, built once
+    from H''s first rows: (H' H'^T)^-1 and H'^T, each as rotated columns.
 
     Raises SingularMatrixError when the Gram matrix is singular; the
     caller reports and stops, since other right-inverses exist but this
     construction does not reach them.
     """
-    gram = gf2.multiply(pk.parity_check, gf2.transpose(pk.parity_check))
-    return gf2.ColumnRotations(gram.invert())
+    h_t = pk.parity_check.transpose()
+    gram = pk.parity_check.multiply(h_t)
+    return gf2.ColumnRotations(gram.invert()), gf2.ColumnRotations(h_t)
 
 
 def right_inverse_forge(pk: PublicKey, message: bytes,
@@ -210,7 +205,8 @@ def right_inverse_forge(pk: PublicKey, message: bytes,
     a random solution, with weight near r/2, far above the bound near
     r/3; the outcome records the verifier rejecting on weight. Pass a
     precomputed gram_inv (from right_inverse_gram) to amortize repeated
-    forgeries under one key.
+    forgeries under one key.  H' is never expanded: H'^T u is the XOR of
+    the rotated columns of H'^T over the support of u.
     """
     ps = pk.ps
     if gram_inv is None:
@@ -220,8 +216,8 @@ def right_inverse_forge(pk: PublicKey, message: bytes,
             return AttackOutcome("rightinv", False, 1, {"gram_singular": True})
     h = digest_message(message, ps)
     s_hat = map_to_syndrome(h, 0, ps)
-    lifted = gram_inv.mul_vec(s_hat)
-    f = BitVector(ps.n, gf2._rows_xor(pk.parity_rows(), lifted.support()))
+    gram_columns, h_t_columns = gram_inv
+    f = h_t_columns.mul_vec(gram_columns.mul_vec(s_hat))
     syndrome_ok = pk.parity_columns().mul_vec(f) == s_hat
     forged = Signature(0, f)
     verdict = verify(pk, message, forged)

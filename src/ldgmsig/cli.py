@@ -21,6 +21,7 @@ from . import attacks, fileio, keygen, params
 from .digest import CounterExhausted
 from .keygen import KeyGenerationError
 from .rng import fresh_seed, parse_seed
+from .sign import SigningError
 from .sign import sign as sign_message
 from .sign import verify as verify_signature
 
@@ -116,7 +117,7 @@ def _cmd_sign(args) -> int:
     message = Path(args.infile).read_bytes()
     try:
         sig = sign_message(sk, message)
-    except CounterExhausted as exc:
+    except (CounterExhausted, SigningError) as exc:
         print(f"signing failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     fileio.save_signature(args.out, sk.ps.name, sig)
@@ -210,10 +211,8 @@ def run(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_attack(args)
-    except (fileio.FormatError, params.ParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, KeyGenerationError, CounterExhausted) as exc:
+    # FormatError and ParameterError are ValueErrors
+    except (ValueError, OSError, KeyGenerationError, CounterExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,10 @@ produce byte-identical files.  Readers treat the bytes as hostile and
 raise FormatError on anything that does not parse, trailing bytes
 included, so a truncated file is never mistaken for a short-but-valid
 one.  The only count a file supplies is the signature's support count,
-checked against n before it is read.
+checked against n before it is read.  The private key reader also checks
+the weights that the signature weight bound rests on: w_g in every row
+of G, m_t in every row and column of T, and 1 to m_s in every column of
+S.
 """
 
 from __future__ import annotations
@@ -132,6 +135,21 @@ def _read_constraints(fh, ps: ParameterSet) -> DenseMatrix:
     return DenseMatrix(ps.z, ps.r, np.frombuffer(raw, dtype=np.uint8).reshape(ps.z, width))
 
 
+def _check_weights(m: QcMatrix, axis: int, low: int, high: int, what: str) -> None:
+    """Every row (axis 1) or column (axis 0) of m weighs low..high: the
+    rows of block row i weigh what its first rows weigh together, and
+    the columns of block column j what its blocks' first rows weigh."""
+    counts = np.bitwise_count(m.first_rows)
+    # each sum runs along contiguous memory; a sum over axes (0, 2) or
+    # (1, 2) at once takes about ten times as long
+    per_byte = counts.reshape(m.block_rows, -1) if axis else counts.sum(axis=0, dtype=np.int32)
+    weights = per_byte.sum(axis=1, dtype=np.int32).tolist()
+    if min(weights) < low or max(weights) > high:
+        bound = low if low == high else f"{low} to {high}"
+        raise FormatError(f"{what} weights {min(weights)} to {max(weights)}, "
+                          f"expected {bound}")
+
+
 def _dump_private(fh, sk: PrivateKey) -> None:
     ps = sk.ps
     if len(sk.seed) != SEED_BYTES:
@@ -152,6 +170,11 @@ def _load_private(fh) -> PrivateKey:
     t = _read_grid(fh, ps, ps.r0, ps.r0, "sparse map")
     s = _read_grid(fh, ps, ps.n0, ps.n0, "scrambler")
     _no_trailing(fh, "private key")
+    # the signature weight bound rests on these weights
+    _check_weights(g, 1, ps.w_g, ps.w_g, "generator row")
+    _check_weights(t, 1, ps.m_t, ps.m_t, "sparse map row")
+    _check_weights(t, 0, ps.m_t, ps.m_t, "sparse map column")
+    _check_weights(s, 0, 1, ps.m_s, "scrambler column")
     return PrivateKey(ps, seed, g, b, t, s)
 
 

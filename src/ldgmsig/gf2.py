@@ -10,7 +10,9 @@ Layout conventions used throughout the package:
   shifts of its first row (row i is the first row shifted right by i),
   and stores only the first rows (block_rows * block_cols * p bits of
   payload); with p = 1 every block is one bit, so the grid is a plain
-  binary matrix.
+  binary matrix.  QcMatrix.grid builds one from unpacked bits or from
+  XOR-accumulated (block row, block column, shift) entries, so no other
+  module sets first-row bits.
 
 The key matrices are all quasi-cyclic.  Dense matrices keep packed rows,
 and operations on them are vectorized over numpy uint8 arrays.  A QC
@@ -423,15 +425,31 @@ class QcMatrix:
         return self.block_rows * self.block_cols * self.p
 
     @classmethod
-    def zeros(cls, block_rows: int, block_cols: int, p: int) -> "QcMatrix":
-        return cls(block_rows, block_cols, p)
+    def grid(cls, block_rows: int, block_cols: int, p: int, entries=(),
+             bits=None) -> "QcMatrix":
+        """The grid whose first rows are bits, an unpacked (block_rows,
+        block_cols, p) 0/1 array whose [i, j, t] is bit t of block (i, j)'s
+        first row (all zero when None), with entries XORed on: each
+        (i, j, t), 0 <= t < p, flips that bit, so a repeat cancels.  Every
+        grid built from bits or shifts is built here."""
+        m = cls(block_rows, block_cols, p)
+        if bits is not None:
+            if bits.shape != (block_rows, block_cols, p):
+                raise ShapeError(f"bits shape {bits.shape}")
+            m.first_rows[:] = _pack_bits(bits)  # p bits leave no tail
+        if entries:
+            # keys place a few thousand entries at most, and at toy size a
+            # loop over a bytearray costs less per call than np.bitwise_xor.at
+            width = m.first_rows.shape[2]
+            buf = bytearray(m.first_rows.tobytes())
+            for i, j, t in entries:
+                buf[(i * block_cols + j) * width + (t >> 3)] ^= 1 << (t & 7)
+            m.first_rows = np.frombuffer(buf, dtype=np.uint8).reshape(m.first_rows.shape)
+        return m
 
     @classmethod
     def identity(cls, block_rows: int, p: int) -> "QcMatrix":
-        m = cls(block_rows, block_rows, p)
-        diag = np.arange(block_rows)
-        m.first_rows[diag, diag, 0] = 1
-        return m
+        return cls.grid(block_rows, block_rows, p, [(i, i, 0) for i in range(block_rows)])
 
     def expand(self) -> DenseMatrix:
         """The dense matrix, built a group of block rows at a time so that
@@ -451,9 +469,8 @@ class QcMatrix:
     @classmethod
     def fold_dense_rows(cls, leading: np.ndarray, block_cols: int, p: int) -> "QcMatrix":
         """Build from packed leading rows (block_rows x ceil(block_cols*p/8))."""
-        brows = leading.shape[0]
-        bits = _unpack(leading, block_cols * p).reshape(brows, block_cols, p)
-        return cls(brows, block_cols, p, _pack_bits(bits))
+        bits = _unpack(leading, block_cols * p).reshape(leading.shape[0], block_cols, p)
+        return cls.grid(*bits.shape, bits=bits)
 
     @classmethod
     def from_dense(cls, m: DenseMatrix) -> "QcMatrix":
@@ -467,13 +484,9 @@ class QcMatrix:
         )
 
     def transpose(self) -> "QcMatrix":
-        bits = _unpack(self.first_rows, self.p)
-        rev = np.arange(self.p)
-        rev[1:] = rev[:0:-1]
-        folded = _pack_bits(bits[:, :, rev])
-        return QcMatrix(
-            self.block_cols, self.block_rows, self.p, folded.transpose(1, 0, 2)
-        )
+        rev = -np.arange(self.p) % self.p
+        bits = _unpack(self.first_rows, self.p)[:, :, rev].transpose(1, 0, 2)
+        return QcMatrix.grid(*bits.shape, bits=bits)
 
     def multiply(self, other: "QcMatrix") -> "QcMatrix":
         """A B from the leading rows: row bi*p of A B is B^T times row

@@ -21,11 +21,16 @@ of p x p circulants; with p = 1 each block is one bit and the grid is a
 plain binary matrix.  Only the z x r factors a and b are DenseMatrix.
 They are constant on each block of p columns.
 
+Every grid is built by QcMatrix.grid, from (block row, block column,
+shift) entries or from block-level bits; nothing here sets first-row
+bits by hand.
+
 Every random draw comes from a HashStream substream labelled by purpose
 and attempt number, so a master seed reproduces a key pair bit for bit.
-Retry loops (information set, constraints, Q and S invertibility)
-share a common attempt cap and abort with a diagnostic rather than
-looping forever.
+One redraw loop, _redraw, serves every stage (information set,
+constraints, Q and S invertibility): it redraws on a singular or
+rejected draw and, after RETRY_CAP attempts, raises KeyGenerationError
+naming what ran out rather than looping forever.
 A sparse-map weight m_t or scrambler weight m_s that no draw of T or S
 can make invertible is rejected before the first draw (see
 _sample_sparse_map and _sample_scrambler).
@@ -92,11 +97,9 @@ class WeightControl:
     def low_rank_part(self) -> QcMatrix:
         """Materialize R = a^T b on the grid of T: a and b are constant on
         each block of p columns, so every block of R is zero or all ones."""
-        t = self.sparse_map
+        p = self.sparse_map.p
         outer = self.lowrank_left.transpose().mul_matrix(self.constraints)
-        r = QcMatrix.zeros(t.block_rows, t.block_cols, t.p)
-        r.first_rows[outer.to_bits()[:: t.p, :: t.p].astype(bool)] = _ones_row(t.p)
-        return r
+        return _block_constant(outer.to_bits()[::p, ::p], p)
 
     def weight_ctrl(self) -> QcMatrix:
         """Materialize Q = R + T."""
@@ -109,9 +112,24 @@ class Scrambler:
     scrambler_inv: QcMatrix
 
 
-def _ones_row(p: int) -> np.ndarray:
-    """Packed first row of the all-ones p x p circulant."""
-    return np.packbits(np.ones(p, dtype=np.uint8), bitorder="little")
+def _block_constant(bits: np.ndarray, p: int) -> QcMatrix:
+    """The grid whose block (i, j) is all ones where bits[i, j] is 1 and
+    zero elsewhere."""
+    return QcMatrix.grid(*bits.shape, p, bits=np.broadcast_to(bits[:, :, None], (*bits.shape, p)))
+
+
+def _redraw(what: str, draw):
+    """draw(attempt) for attempt = 0, 1, ... until it returns something
+    other than None (a rejected draw) without meeting a singular matrix;
+    KeyGenerationError naming what ran out after RETRY_CAP attempts."""
+    for attempt in range(RETRY_CAP):
+        try:
+            out = draw(attempt)
+        except (SingularMatrixError, InformationSetError):
+            continue
+        if out is not None:
+            return out
+    raise KeyGenerationError(f"no {what} in {RETRY_CAP} attempts")
 
 
 class PrivateKey:
@@ -160,16 +178,13 @@ class PublicKey:
         # every key is quasi-cyclic; the flag stays for callers that pass
         # it (perfbench/test_checks.py) and nothing reads it
         self.qc = qc
-        self._rows = None
         self._columns = None
 
     def parity_rows(self) -> np.ndarray:
-        """Packed dense rows of H', built on first use.  Verification never
-        reads them; they are the attacks' dense H' (the information-set
-        attacks' bit matrix and the right-inverse lift)."""
-        if self._rows is None:
-            self._rows = self.parity_check.expand().data
-        return self._rows
+        """Packed dense rows of H', expanded afresh on every call and held
+        by no one: the toy-size information-set attacks' bit matrix.
+        Verification and the right-inverse lift read the first rows."""
+        return self.parity_check.expand().data
 
     def parity_columns(self) -> gf2.ColumnRotations:
         """H' as the rotated column 0 of each block, built on first use
@@ -189,23 +204,18 @@ def generate_systematic(ps: ParameterSet, stream: HashStream):
         raise KeyGenerationError(f"row weight {ps.w_g} exceeds length {ps.n}")
     if ps.w_g == ps.n and ps.k > 1:
         raise KeyGenerationError("weight-n rows cannot be independent beyond one row")
-    for attempt in range(RETRY_CAP):
+
+    def draw(attempt):
         g = _sample_generator(ps, stream.substream(b"ldgm-rows", attempt))
-        try:
-            return g, derive_systematic_parity(g)
-        except InformationSetError:
-            continue
-    raise KeyGenerationError(f"no systematic generator in {RETRY_CAP} attempts")
+        return g, derive_systematic_parity(g)
+    return _redraw("systematic generator", draw)
 
 
 def _sample_generator(ps, sub):
-    grid = QcMatrix.zeros(ps.k0, ps.n0, ps.p)
-    for bi in range(ps.k0):
-        # w_g ones spread over the concatenated first rows of the block-row
-        for pos in sub.distinct(ps.w_g, ps.n):
-            bj, t = divmod(pos, ps.p)
-            grid.first_rows[bi, bj, t >> 3] |= 1 << (t & 7)
-    return grid
+    # w_g ones spread over the concatenated first rows of each block row
+    return QcMatrix.grid(ps.k0, ps.n0, ps.p, [
+        (bi, *divmod(pos, ps.p))
+        for bi in range(ps.k0) for pos in sub.distinct(ps.w_g, ps.n)])
 
 
 def derive_systematic_parity(g: QcMatrix) -> QcMatrix:
@@ -221,11 +231,8 @@ def derive_systematic_parity(g: QcMatrix) -> QcMatrix:
     # X = (L^-1 R)^T = R^T L^-T: multiply walks the sparse leading rows of
     # R^T, not the dense ones of L^-1
     x = right.transpose().multiply(left_inv.transpose())
-    r0 = x.block_rows
-    h = QcMatrix.zeros(r0, k0 + r0, g.p)
-    h.first_rows[:, :k0] = x.first_rows
-    h.first_rows[np.arange(r0), k0 + np.arange(r0), 0] = 1
-    return h
+    h = np.concatenate([x.first_rows, QcMatrix.identity(x.block_rows, g.p).first_rows], axis=1)
+    return QcMatrix(x.block_rows, g.block_cols, g.p, h)
 
 
 def _expand_block_bits(bits: np.ndarray, p: int) -> DenseMatrix:
@@ -233,33 +240,27 @@ def _expand_block_bits(bits: np.ndarray, p: int) -> DenseMatrix:
 
 
 def _random_bits(sub, rows, cols):
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    width = (cols + 7) // 8
-    for i in range(rows):
-        raw = np.frombuffer(sub.read(width), dtype=np.uint8)
-        out[i] = np.unpackbits(raw, count=cols, bitorder="little")
-    return out
+    raw = np.frombuffer(b"".join(sub.read((cols + 7) // 8) for _ in range(rows)), np.uint8)
+    return np.unpackbits(raw.reshape(rows, -1), axis=1, count=cols, bitorder="little")
 
 
 def _sample_constraints(ps, sub):
     """(a_bits, b_bits) at block level, z x r0: b has no all-zero column
     and full rank z, a has no all-zero row."""
     z, ncols = ps.z, ps.r0
-    for _ in range(RETRY_CAP):
-        b = np.zeros((z, ncols), dtype=np.uint8)
-        for j in range(ncols):
-            pattern = 1 + sub.below((1 << z) - 1) if z > 1 else 1
-            for i in range(z):
-                b[i, j] = (pattern >> i) & 1
-        if DenseMatrix.from_bits(b).rank() == z:
-            break
-    else:
-        raise KeyGenerationError("no full-rank constraint matrix")
-    for _ in range(RETRY_CAP):
+
+    def draw_b(_):
+        # column j of b holds the bits of a nonzero z-bit pattern
+        patterns = [1 + sub.below((1 << z) - 1) if z > 1 else 1 for _ in range(ncols)]
+        b = ((np.array(patterns) >> np.arange(z)[:, None]) & 1).astype(np.uint8)
+        return b if DenseMatrix.from_bits(b).rank() == z else None
+
+    def draw_a(_):
         a = _random_bits(sub, z, ncols)
-        if a.any(axis=1).all():
-            return a, b
-    raise KeyGenerationError("no constraint left factor without a zero row")
+        return a if a.any(axis=1).all() else None
+
+    b = _redraw("full-rank constraint matrix", draw_b)
+    return _redraw("constraint left factor without a zero row", draw_a), b
 
 
 def _sample_sparse_map(ps, sub):
@@ -281,13 +282,10 @@ def _sample_sparse_map(ps, sub):
             f"sparse map is singular for every draw: m_t = {ps.m_t} makes "
             f"1 + x + ... + x^{ps.m_t - 1} share a factor with x^{size} - 1")
     sigma = sub.permutation(size)
-    grid = QcMatrix.zeros(size, size, ps.p)
-    for j in range(ps.m_t):
-        for i in range(size):
-            col = sigma[(i + j) % size]
-            shift = sub.below(ps.p)
-            grid.first_rows[i, col, shift >> 3] ^= 1 << (shift & 7)
-    return grid
+    # layer j puts row i's one in block column sigma[(i + j) mod size]
+    return QcMatrix.grid(size, size, ps.p, [
+        (i, sigma[(i + j) % size], sub.below(ps.p))
+        for j in range(ps.m_t) for i in range(size)])
 
 
 def generate_weight_control(ps: ParameterSet, stream: HashStream):
@@ -298,18 +296,16 @@ def generate_weight_control(ps: ParameterSet, stream: HashStream):
     shifts cancel out of M, so with few blocks a fixed (a, b) could make
     every available T useless.
     """
-    for attempt in range(RETRY_CAP):
+
+    def draw(attempt):
         a_bits, b_bits = _sample_constraints(
             ps, stream.substream(b"constraints", attempt))
         t = _sample_sparse_map(ps, stream.substream(b"sparse-map", attempt))
-        try:
-            t_inv = t.transpose() if ps.m_t == 1 else gf2.invert(t)
-            q_inv = _woodbury(ps, a_bits, b_bits, t_inv)
-        except SingularMatrixError:
-            continue
+        t_inv = t.transpose() if ps.m_t == 1 else gf2.invert(t)
+        q_inv = _woodbury(ps, a_bits, b_bits, t_inv)
         return WeightControl(_expand_block_bits(a_bits, ps.p),
                              _expand_block_bits(b_bits, ps.p), t, q_inv)
-    raise KeyGenerationError(f"no invertible weight control in {RETRY_CAP} attempts")
+    return _redraw("invertible weight control", draw)
 
 
 def _woodbury(ps, a_bits, b_bits, t_inv):
@@ -324,9 +320,7 @@ def _woodbury(ps, a_bits, b_bits, t_inv):
         m ^= ((b_bits @ ta) & 1).astype(np.uint8)
     m_inv = DenseMatrix.from_bits(m).invert().to_bits()
     w = (((ta @ m_inv) & 1) @ tb) & 1
-    q_inv = QcMatrix(ps.r0, ps.r0, ps.p, t_inv.first_rows.copy())
-    q_inv.first_rows[w.astype(bool)] ^= _ones_row(ps.p)
-    return q_inv
+    return gf2.add(t_inv, _block_constant(w, ps.p))
 
 
 def generate_scrambler(ps: ParameterSet, stream: HashStream):
@@ -345,20 +339,18 @@ def generate_scrambler(ps: ParameterSet, stream: HashStream):
     if ps.m_s == 1:
         warnings.warn("column weight 1 makes the scrambler a bare permutation",
                       stacklevel=2)
-    for attempt in range(RETRY_CAP):
+
+    def draw(attempt):
         s = _sample_scrambler(ps, stream.substream(b"scrambler", attempt))
-        try:
-            return Scrambler(s, gf2.invert(s))
-        except SingularMatrixError:
-            continue
-    raise KeyGenerationError(f"no invertible scrambler in {RETRY_CAP} attempts")
+        return Scrambler(s, gf2.invert(s))
+    return _redraw("invertible scrambler", draw)
 
 
 def _full_cycle(sub, size):
     tau = np.asarray(sub.permutation(size))
     rho = np.empty(size, dtype=np.int64)
     rho[tau] = tau[np.arange(1, size + 1) % size]
-    return rho
+    return rho.tolist()
 
 
 def _sample_scrambler(ps, sub):
@@ -381,16 +373,16 @@ def _sample_scrambler(ps, sub):
             f"1 + y + ... + y^{ps.m_s - 1} share a degree-{nullity} factor "
             f"with y^{size} - 1")
     rho = _full_cycle(sub, size)
-    grid = QcMatrix.identity(size, ps.p)
-    cur = np.arange(size)
-    for j in range(1, ps.m_s):
-        cur = rho[cur]
-        for i in range(size):
-            shift = sub.below(ps.p)
-            if drop_last and j == ps.m_s - 1 and i == 0:
-                continue
-            grid.first_rows[i, cur[i], shift >> 3] ^= 1 << (shift & 7)
-    return grid
+    # layer 0 is the identity; layer j puts row i's one in block column
+    # rho^j(i) at a drawn shift
+    cur = list(range(size))
+    entries = [(i, i, 0) for i in cur]
+    for _ in range(1, ps.m_s):
+        cur = [rho[c] for c in cur]
+        entries += [(i, cur[i], sub.below(ps.p)) for i in range(size)]
+    if drop_last:  # the last layer's entry in row 0, its shift drawn all the same
+        del entries[-size]
+    return QcMatrix.grid(size, size, ps.p, entries)
 
 
 def assemble(ps: ParameterSet, seed: bytes):

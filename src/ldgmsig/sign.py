@@ -159,8 +159,6 @@ def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
         return VerifyResult(False, "weight")
     h = digest_message(message, ps)
     s_hat = map_to_syndrome(h, sig.theta, ps)
-    if s_hat.weight() != ps.w:
-        return VerifyResult(False, "digest-weight")
     if pk.parity_columns().sum_bytes(support) != s_hat.to_bytes():
         return VerifyResult(False, "syndrome")
     return VerifyResult(True)

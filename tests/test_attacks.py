@@ -176,6 +176,23 @@ def test_right_inverse_satisfies_syndrome_equation(toy_keys_gram):
                                      out.forgery).accepted
 
 
+def test_right_inverse_lift_matches_dense_rows(toy_keys_gram):
+    # the lift through the rotated columns of H'^T gives the forgery that
+    # XORing the dense rows of H' over the lifted support gives, with the
+    # Gram inverse taken densely as well
+    _, pk = toy_keys_gram
+    ps = pk.ps
+    h = pk.parity_check.expand()
+    gram_inv = h.mul_matrix(h.transpose()).invert()
+    lift = right_inverse_gram(pk)
+    for i in range(8):
+        message = b"lift-%d" % i
+        s_hat = map_to_syndrome(digest_message(message, ps), 0, ps)
+        lifted = gram_inv.mul_vec(s_hat)
+        dense = BitVector(ps.n, gf2._rows_xor(pk.parity_rows(), lifted.support()))
+        assert right_inverse_forge(pk, message, lift).forgery.e_prime == dense
+
+
 def test_right_inverse_on_trivial_parity_check(toy):
     # H' = [I_r | 0] makes the right inverse the transpose and the
     # forgery the padded target syndrome itself, weight w

@@ -86,6 +86,20 @@ def test_sign_verify_round_trip(workdir, capsys):
     assert "accepted" in capsys.readouterr().out
 
 
+def test_sign_reports_exhausted_mask_redraws(workdir, capsys, monkeypatch):
+    # no acceptable mask codeword is a signing failure, as an exhausted
+    # counter is: a message on stderr, exit 1 and no signature file
+    sk_path, _ = keygen(workdir)
+    msg = workdir / "message.txt"
+    msg.write_bytes(b"no mask")
+    # the package exports the function sign, which hides the module
+    monkeypatch.setattr(sys.modules["ldgmsig.sign"], "REDRAW_CAP", 0)
+    assert run(["sign", "--key", str(sk_path), "--in", str(msg),
+                "--out", "message.sig"]) == EXIT_FAIL
+    assert "signing failed: no acceptable mask codeword" in capsys.readouterr().err
+    assert not (workdir / "message.sig").exists()
+
+
 def test_verify_rejects_tampered_message(workdir, capsys):
     sk_path, pk_path = keygen(workdir)
     msg = workdir / "message.txt"

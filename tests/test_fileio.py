@@ -232,6 +232,40 @@ def test_version_one_files_are_refused(tmp_path, toy_files, name, what, load):
         load(path)
 
 
+@pytest.mark.parametrize("part", ["generator", "sparse map", "scrambler"])
+def test_private_key_weights_are_checked(tmp_path, toy_files, toy_keys, capsys, part):
+    # one live bit flipped in G, T or S breaks a weight that the
+    # signature weight bound rests on: the reader refuses the key, and
+    # `ldgmsig sign` exits 2 without a traceback
+    sk, _ = toy_keys
+    ps = sk.ps
+    raw = bytearray(toy_files.joinpath("k.sk").read_bytes())
+    width = (ps.p + 7) // 8
+    g_at = HEADER_BYTES + 32
+    t_at = g_at + ps.k0 * ps.n0 * width + ps.z * ((ps.r + 7) // 8)
+    s_at = t_at + ps.r0 * ps.r0 * width
+    if part == "scrambler":
+        # S's column weights are only bounded, so add a one to block
+        # (0, j) of a block column j already at weight m_s
+        weights = np.bitwise_count(sk.scrambler.first_rows).sum(axis=(0, 2))
+        j = int(np.argmax(weights))
+        assert weights[j] == ps.m_s
+        at = s_at + j * width
+        bit = next(t for t in range(ps.p) if not raw[at] >> t & 1)
+    else:
+        at, bit = {"generator": g_at, "sparse map": t_at}[part], 0
+    assert bit < ps.p  # a live bit, not a masked tail bit
+    raw[at] ^= 1 << bit
+    path = tmp_path / "flipped.sk"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"^{part} (row|column) weights"):
+        load_private_key(path)
+    assert run(["sign", "--key", str(path), "--in", str(toy_files / "m.txt"),
+                "--out", str(tmp_path / "m.sig")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {part}") and "Traceback" not in err
+
+
 @st.composite
 def mutated(draw, raw: bytes) -> bytes:
     """raw after one to three truncations, byte flips, header edits or

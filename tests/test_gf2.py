@@ -27,8 +27,7 @@ def random_dense(rng, rows, cols):
 
 
 def random_qc(rng, br, bc, p):
-    m = QcMatrix.zeros(br, bc, p)
-    raw = rng.integers(0, 256, size=m.first_rows.shape, dtype=np.uint8)
+    raw = rng.integers(0, 256, size=(br, bc, (p + 7) // 8), dtype=np.uint8)
     return QcMatrix(br, bc, p, raw)
 
 
@@ -214,6 +213,41 @@ def test_qc_identity_and_blocks():
     eye.first_rows[0, 2, 0] = 0b10
     bits = eye.expand().to_bits()
     assert np.array_equal(bits[:5, 10:], np.roll(np.eye(5, dtype=np.uint8), 1, axis=1))
+
+
+def circulant(p, t):
+    """The p x p circulant of first row x^t: row u has its one at column
+    (u + t) mod p."""
+    out = np.zeros((p, p), dtype=np.uint8)
+    out[np.arange(p), (np.arange(p) + t) % p] = 1
+    return out
+
+
+@given(st.sampled_from([1, 2, 3, 8, 9, 50]), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.data())
+def test_grid_is_the_xor_of_single_shift_circulants(p, br, bc, with_bits, data):
+    entry = st.tuples(st.integers(0, br - 1), st.integers(0, bc - 1), st.integers(0, p - 1))
+    entries = data.draw(st.lists(entry, max_size=12))
+    if entries:
+        # repeats cancel in pairs
+        entries += data.draw(st.lists(st.sampled_from(entries), max_size=6))
+    bits = None
+    if with_bits:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        bits = (rng.random((br, bc, p)) < data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+                ).astype(np.uint8)
+    want = np.zeros((br * p, bc * p), dtype=np.uint8)
+    ones = [] if bits is None else [tuple(e) for e in np.argwhere(bits)]
+    for i, j, t in ones + entries:
+        want[i * p:(i + 1) * p, j * p:(j + 1) * p] ^= circulant(p, t)
+    got = QcMatrix.grid(br, bc, p, entries, bits)
+    assert np.array_equal(got.expand().to_bits(), want)
+    assert got.first_rows.shape == (br, bc, (p + 7) // 8)
+
+
+def test_grid_refuses_bits_of_another_shape():
+    with pytest.raises(ShapeError):
+        QcMatrix.grid(2, 3, 4, bits=np.zeros((3, 2, 4), dtype=np.uint8))
 
 
 def test_random_invertible_battery():

@@ -296,13 +296,49 @@ def test_scrambler_weight_screened_before_drawing(ps, m_s, singular, monkeypatch
     assert scr.scrambler.expand().col_weights().max() <= m_s
 
 
-def test_constraint_draws_are_capped(toy, monkeypatch):
-    # an all-zero a has a zero row on every draw: the loop gives up
-    # after RETRY_CAP draws in place of spinning forever
-    monkeypatch.setattr(keygen, "_random_bits",
-                        lambda sub, rows, cols: np.zeros((rows, cols), np.uint8))
-    with pytest.raises(KeyGenerationError, match="zero row"):
-        keygen._sample_constraints(toy, HashStream(CANON_SEED))
+def _singular(*args):
+    raise gf2.SingularMatrixError("every draw is singular")
+
+
+# stage, the name a failing draw is patched in at, the failing draw, and
+# what the stage reports running out of
+CAPPED_STAGES = {
+    # an all-zero G has a singular information set on every draw
+    "generator": (generate_systematic, keygen, "_sample_generator",
+                  lambda ps, sub: QcMatrix.grid(ps.k0, ps.n0, ps.p),
+                  "systematic generator"),
+    # b is rejected whenever its rank falls short of z
+    "constraints": (keygen._sample_constraints, DenseMatrix, "rank",
+                    lambda self: 0, "full-rank constraint matrix"),
+    # an all-zero a has a zero row on every draw
+    "left-factor": (keygen._sample_constraints, keygen, "_random_bits",
+                    lambda sub, rows, cols: np.zeros((rows, cols), np.uint8),
+                    "constraint left factor without a zero row"),
+    "weight-control": (generate_weight_control, keygen, "_woodbury", _singular,
+                       "invertible weight control"),
+    # an all-zero S is singular on every draw
+    "scrambler": (generate_scrambler, keygen, "_sample_scrambler",
+                  lambda ps, sub: QcMatrix.grid(ps.n0, ps.n0, ps.p),
+                  "invertible scrambler"),
+}
+
+
+@pytest.mark.parametrize("case", CAPPED_STAGES)
+def test_constraint_draws_are_capped(toy, monkeypatch, case):
+    # every stage's redraw loop gives up after RETRY_CAP failing draws in
+    # place of spinning forever, and names what ran out
+    stage, owner, name, failing, what = CAPPED_STAGES[case]
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return failing(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    with pytest.raises(KeyGenerationError,
+                       match=f"^no {what} in {keygen.RETRY_CAP} attempts$"):
+        stage(toy, HashStream(CANON_SEED))
+    assert len(draws) == keygen.RETRY_CAP
 
 
 def test_weight_three_sparse_map_round_trip():
