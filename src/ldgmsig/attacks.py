@@ -138,7 +138,7 @@ def build_permutation_keypair(ps: ParameterSet, seed: bytes):
     p1, p2 = _permutation_grid(pi1), _permutation_grid(pi2)
     sk, pk = assemble_from_parts(
         ps, seed, QcMatrix.from_dense(g.expand()), QcMatrix.from_dense(h.expand()),
-        DenseMatrix(ps.z, ps.r), p1, p1.transpose(), p2, p2.transpose())
+        DenseMatrix(ps.z, ps.r), p1, p2)
     return sk, pk, pi1, pi2
 
 

@@ -34,15 +34,13 @@ rows and each matched to how dense the vector is:
 Dense Gauss-Jordan elimination (behind invert, rank and solve) holds
 each packed row as one Python int, so a pivot costs one int XOR per row
 that has its bit and no numpy call: the attacks solve 12-row systems by
-the thousand, and no dense system in keygen has more than z rows.
+the thousand.
 
-A QC matrix is inverted in the ring R = GF(2)[x]/(x^p - 1), never
-expanded: circulants multiply as their first-row polynomials, so the
-n0 x n0 grid is a matrix over R and Gauss-Jordan runs on its blocks,
-each row of [A | I] one Python int of 2 n0 fields of p bits.  Times x^t
-rotates every field by t.  A pivot must be a unit of R; where none is
-at hand, extended Euclid merges the rows below into the pivot row by
-determinant-1 steps until one is, or proves the matrix singular.
+A QC system A X = B is solved in the ring R = GF(2)[x]/(x^p - 1), never
+expanded: circulants multiply as their first-row polynomials, so
+Gauss-Jordan runs on the blocks of [A | B], each row one Python int of
+p-bit fields, and times x^t rotates every field by t.  An inverse is
+the solve against the identity.
 """
 
 from __future__ import annotations
@@ -514,26 +512,34 @@ class QcMatrix:
         return self.expand().rank()
 
     def invert(self) -> "QcMatrix":
-        """Inverse by Gauss-Jordan over R = GF(2)[x]/(x^p - 1) on the
-        n0 x n0 grid of blocks.
+        """A^-1: the solve against the identity."""
+        return self.solve(QcMatrix.identity(self.block_rows, self.p))
 
-        Row i of [A | I] is one int of 2 n0 fields of p bits; field c
-        holds block (i, c) as a polynomial, the first row's bit t being
-        the coefficient of x^t.  A pivot must be a unit of R, that is
-        coprime to x^p - 1, and the extended gcd against x^p - 1 gives
-        its inverse.  While it is not a unit, the next row below is
-        merged into the pivot row by the extended gcd of the two
-        entries, [[u, v], [b/g, a/g]]: g on top, 0 below, determinant 1.
-        If the rows run out first, the pivot is a non-unit factor of the
-        determinant and A is singular.  The p rotations of each pivot
-        row are formed once, and every other row XORs them over its
-        entry's ones.  The right-half fields end as A^-1's leading rows.
+    def solve(self, rhs: "QcMatrix") -> "QcMatrix":
+        """A^-1 B for A = self, B = rhs: Gauss-Jordan over
+        R = GF(2)[x]/(x^p - 1) on [A | B], whose row i is one int with
+        block (i, c) in field c as a polynomial (first-row bit t is x^t).
+
+        A pivot must be a unit of R (the extended gcd against x^p - 1
+        inverts it); while it is not, the next row below is merged in by
+        the extended gcd of the two entries, [[u, v], [b/g, a/g]] of
+        determinant 1, and if the rows run out A is singular.  The
+        forward pass shifts each cleared column off the rows below; back
+        substitution clears A's upper triangle on B's fields alone.  Each
+        pivot row's multiples are tabulated per 4 bits of the multiplier.
+        Row 0 of A times the result is checked against B's.  A permutation
+        of circulant shifts needs no elimination: A^-1 = A^T.
         """
-        if self.block_rows != self.block_cols:
-            raise ShapeError(f"cannot invert {self.rows}x{self.cols}")
-        n0, p, n = self.block_rows, self.p, self.rows
+        n0, m0, p = self.block_rows, rhs.block_cols, self.p
+        if self.block_cols != n0 or (rhs.block_rows, rhs.p) != (n0, p):
+            raise ShapeError(f"cannot solve {self!r} against {rhs!r}")
+        fr = self.first_rows
+        if np.count_nonzero(fr) == n0:  # A^-1 = A^T for a shift permutation
+            bi, bj, byte = np.nonzero(fr)
+            if np.bitwise_count(fr[bi, bj, byte]).max() == 1 and len(set(bi)) == len(set(bj)) == n0:
+                return self.transpose().multiply(rhs)
         field, modulus = (1 << p) - 1, (1 << p) | 1
-        masks = _field_masks(2 * n, p)
+        masks = _field_masks((n0 + m0) * p, p)
 
         def rotate(row, t):
             high, low = masks[t]
@@ -545,38 +551,68 @@ class QcMatrix:
                 out ^= rotate(row, t)
             return out
 
-        lead = _pack_bits(_unpack(self.first_rows, p).reshape(n0, n))
-        rows = [int.from_bytes(lead[i].tobytes(), "little") | 1 << (n + i * p)
-                for i in range(n0)]
+        def tables(row):
+            # tabs[k][v] = row times v x^(4k) for the 16 polynomials v of
+            # degree below 4, so times f costs one XOR per 4 bits of f
+            tabs = []
+            for k in range(0, p, 4):
+                tab = [0]
+                for t in range(k, min(k + 4, p)):
+                    r = rotate(row, t)
+                    tab += [x ^ r for x in tab]
+                tabs.append(tab)
+            return tabs
+
+        def plus_times(acc, f, tabs):
+            k = 0
+            while f:
+                acc ^= tabs[k][f & 15]
+                f >>= 4
+                k += 1
+            return acc
+
+        lead_a, lead_b = ([int.from_bytes(row.tobytes(), "little") for row in
+                           _pack_bits(_unpack(m.first_rows, p).reshape(n0, m.cols))]
+                          for m in (self, rhs))
+        rows = [a | b << (n0 * p) for a, b in zip(lead_a, lead_b)]
         for c in range(n0):
-            shift = c * p
             for j in range(c + 1, n0 + 1):
-                a = (rows[c] >> shift) & field
+                a = rows[c] & field
                 g, inv = _poly_xgcd(a, modulus)[:2]
                 if g == 1 or j == n0:
                     break
-                b = (rows[j] >> shift) & field
+                b = rows[j] & field
                 if b:
                     _, u, v, a_g, b_g = _poly_xgcd(a, b)
                     rows[c], rows[j] = (times(u, rows[c]) ^ times(v, rows[j]),
                                         times(b_g, rows[c]) ^ times(a_g, rows[j]))
             if g != 1:
                 raise SingularMatrixError(f"block column {c} has no unit pivot")
-            top = rows[c] = times(inv, rows[c])
-            rotations = [rotate(top, t) for t in range(p)]
-            for i, row in enumerate(rows):
-                entry = (row >> shift) & field
-                if entry and i != c:
-                    for t in _ones(entry):
-                        row ^= rotations[t]
-                    rows[i] = row
-        inverse = [row >> n for row in rows]
-        check = ColumnRotations(self.transpose()).sum_bytes(_ones(inverse[0]))
-        if check != (1).to_bytes(_width(n), "little"):
-            raise AssertionError("leading row 0 of A^-1 times A is not e_0")
-        leading = b"".join(row.to_bytes(_width(n), "little") for row in inverse)
-        return QcMatrix.fold_dense_rows(
-            np.frombuffer(leading, dtype=np.uint8).reshape(n0, _width(n)), n0, p)
+            top = times(inv, rows[c])
+            tabs = None
+            rows[c] = top >> p
+            for i in range(c + 1, n0):
+                entry = rows[i] & field
+                if entry:
+                    tabs = tabs or tables(top)
+                    rows[i] = plus_times(rows[i], entry, tabs)
+                rows[i] >>= p
+        # rows[i] holds A's fields right of column i, then B's
+        solved = [row >> ((n0 - 1 - i) * p) for i, row in enumerate(rows)]
+        for c in range(n0 - 1, 0, -1):
+            tabs = None
+            for i in range(c):
+                entry = (rows[i] >> ((c - i - 1) * p)) & field
+                if entry:
+                    tabs = tabs or tables(solved[c])
+                    solved[i] = plus_times(solved[i], entry, tabs)
+        check = 0
+        for c in range(n0):
+            check ^= times((lead_a[0] >> (c * p)) & field, solved[c])
+        if check != lead_b[0]:
+            raise AssertionError("leading row 0 of A A^-1 B is not that of B")
+        leading = b"".join(row.to_bytes(_width(m0 * p), "little") for row in solved)
+        return QcMatrix.fold_dense_rows(np.frombuffer(leading, np.uint8).reshape(n0, -1), m0, p)
 
     def weight(self) -> int:
         return int(np.bitwise_count(self.first_rows).sum()) * self.p

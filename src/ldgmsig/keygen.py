@@ -13,11 +13,12 @@ Keygen draws
 The public side is H' = Q^-1 H S^-1 together with b, which may be
 published: it only describes which syndromes the signer accepts.  The
 private key is the signing state alone, G, b, T and S, with the seed
-that names it; H, a, Q^-1 and S^-1 exist only while keygen runs, and
-the stages below re-derive them from the seed.
+that names it; H, a and Q^-1 H exist only while keygen runs, and the
+stages below re-derive them from the seed.  Neither Q^-1 nor S^-1 is
+ever formed.
 
-Every key matrix (G, H, T, Q^-1, S, S^-1 and H') is a QcMatrix, a grid
-of p x p circulants; with p = 1 each block is one bit and the grid is a
+Every key matrix (G, H, T, S, Q^-1 H and H') is a QcMatrix, a grid of
+p x p circulants; with p = 1 each block is one bit and the grid is a
 plain binary matrix.  Only the z x r factors a and b are DenseMatrix.
 They are constant on each block of p columns.
 
@@ -35,15 +36,19 @@ A sparse-map weight m_t or scrambler weight m_s that no draw of T or S
 can make invertible is rejected before the first draw (see
 _sample_sparse_map and _sample_scrambler).
 
-Inverting Q never eliminates an r x r system: with T invertible and
-R = a^T b of rank at most z, binary Woodbury gives
-Q^-1 = T^-1 + (T^-1 a^T) M^-1 (b T^-1) with M = I_z + b T^-1 a^T,
-a z x z matrix.  A circulant times a block-constant vector is that
-vector times the circulant's weight mod 2, so T^-1 acts on a^T and b
-through T^-1(1), the r0 x r0 bit matrix of its block weights mod 2, for
-every m_t.  The update term is then constant on every block, and M
-degenerates to I_z + (p mod 2) * (block-level product); for even p the
-matrix Q is unconditionally invertible.
+No QC matrix is inverted: QcMatrix.solve returns A^-1 B from one
+Gauss-Jordan over GF(2)[x]/(x^p - 1) on the grid [A | B], and a singular
+A makes the stage redraw.  The systematic form is X = (L^-1 R)^T for
+G = [L | R]; H' is the solve of S^T against (Q^-1 H)^T, transposed.
+
+Q^-1 H never eliminates an r x r system: binary Woodbury gives
+Q^-1 = T^-1 + U, U = (T^-1 a^T) M^-1 (b T^-1), M = I_z + b T^-1 a^T.
+A circulant times a block-constant vector is that vector times the
+circulant's weight mod 2, so T^-1 acts on a^T and b through T(1)^-1,
+T(1) being the r0 x r0 bit matrix of T's block weights mod 2.  U is
+then constant on every block, so U H is U's block bits times H(1), and
+M degenerates to I_z + (p mod 2) * (block-level product); for even p
+the matrix Q is unconditionally invertible.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "WeightControl",
-    "Scrambler",
     "generate_systematic",
     "derive_systematic_parity",
     "generate_weight_control",
@@ -92,24 +96,12 @@ class WeightControl:
     lowrank_left: DenseMatrix
     constraints: DenseMatrix
     sparse_map: QcMatrix
-    weight_ctrl_inv: QcMatrix
-
-    def low_rank_part(self) -> QcMatrix:
-        """Materialize R = a^T b on the grid of T: a and b are constant on
-        each block of p columns, so every block of R is zero or all ones."""
-        p = self.sparse_map.p
-        outer = self.lowrank_left.transpose().mul_matrix(self.constraints)
-        return _block_constant(outer.to_bits()[::p, ::p], p)
-
-    def weight_ctrl(self) -> QcMatrix:
-        """Materialize Q = R + T."""
-        return gf2.add(self.low_rank_part(), self.sparse_map)
 
 
-@dataclass
-class Scrambler:
-    scrambler: QcMatrix
-    scrambler_inv: QcMatrix
+def _at_one(m: QcMatrix) -> np.ndarray:
+    """M(1), the bit matrix of M's block weights mod 2: x -> 1 is a ring
+    homomorphism, so M(1) is singular whenever M is."""
+    return np.bitwise_count(m.first_rows).sum(axis=-1, dtype=np.int64) & 1
 
 
 def _block_constant(bits: np.ndarray, p: int) -> QcMatrix:
@@ -134,8 +126,8 @@ def _redraw(what: str, draw):
 
 class PrivateKey:
     """The signing state: G for the mask, b for the counter scan, T for
-    T s and S for the scatter.  H, a, Q^-1 and S^-1 exist only while
-    keygen runs; the seed names the key and re-derives them."""
+    T s and S for the scatter.  H, a and Q^-1 H exist only while keygen
+    runs; the seed names the key and re-derives them."""
 
     def __init__(self, ps, seed, generator, constraints, sparse_map, scrambler):
         self.ps = ps
@@ -219,18 +211,18 @@ def _sample_generator(ps, sub):
 
 
 def derive_systematic_parity(g: QcMatrix) -> QcMatrix:
-    """H = [X | I_r] with G H^T = 0; raises InformationSetError when the
-    leftmost k x k block of G is singular."""
+    """H = [X | I_r] with G H^T = 0, G = [L | R]: L X^T = R, so X is the
+    solve of L against R, transposed.  Raises InformationSetError when L
+    is singular, at once when L(1) already is."""
     k0 = g.block_rows
     left = QcMatrix(k0, k0, g.p, g.first_rows[:, :k0])
     right = QcMatrix(k0, g.block_cols - k0, g.p, g.first_rows[:, k0:])
+    if DenseMatrix.from_bits(_at_one(left)).rank() < k0:
+        raise InformationSetError("leftmost k x k block is singular at x = 1")
     try:
-        left_inv = left.invert()
+        x = left.solve(right).transpose()
     except SingularMatrixError as e:
         raise InformationSetError(str(e)) from None
-    # X = (L^-1 R)^T = R^T L^-T: multiply walks the sparse leading rows of
-    # R^T, not the dense ones of L^-1
-    x = right.transpose().multiply(left_inv.transpose())
     h = np.concatenate([x.first_rows, QcMatrix.identity(x.block_rows, g.p).first_rows], axis=1)
     return QcMatrix(x.block_rows, g.block_cols, g.p, h)
 
@@ -288,9 +280,10 @@ def _sample_sparse_map(ps, sub):
         for j in range(ps.m_t) for i in range(size)])
 
 
-def generate_weight_control(ps: ParameterSet, stream: HashStream):
-    """Q = a^T b + T, returned as its factors with Q^-1 from the
-    Woodbury identity.
+def generate_weight_control(ps: ParameterSet, stream: HashStream, parity_check: QcMatrix):
+    """(Q's factors, Q^-1 H) for Q = a^T b + T and H = parity_check:
+    T^-1 H + U H, T^-1 H being the solve of T against H (the sparse
+    product T^T H at m_t = 1), which redraws a singular T.
 
     Both the constraint pair and the sparse map are redrawn on retry:
     shifts cancel out of M, so with few blocks a fixed (a, b) could make
@@ -301,40 +294,42 @@ def generate_weight_control(ps: ParameterSet, stream: HashStream):
         a_bits, b_bits = _sample_constraints(
             ps, stream.substream(b"constraints", attempt))
         t = _sample_sparse_map(ps, stream.substream(b"sparse-map", attempt))
-        t_inv = t.transpose() if ps.m_t == 1 else gf2.invert(t)
-        q_inv = _woodbury(ps, a_bits, b_bits, t_inv)
-        return WeightControl(_expand_block_bits(a_bits, ps.p),
-                             _expand_block_bits(b_bits, ps.p), t, q_inv)
+        # at m_t = 1, T(1) is a permutation matrix: its inverse is T(1)^T
+        t1_inv = (_at_one(t).T if ps.m_t == 1 else
+                  DenseMatrix.from_bits(_at_one(t)).invert().to_bits())
+        update = _woodbury(ps, a_bits, b_bits, t1_inv)
+        u_h = _block_constant((update @ _at_one(parity_check)) & 1, ps.p)
+        return (WeightControl(_expand_block_bits(a_bits, ps.p),
+                              _expand_block_bits(b_bits, ps.p), t),
+                gf2.add(t.solve(parity_check), u_h))
     return _redraw("invertible weight control", draw)
 
 
-def _woodbury(ps, a_bits, b_bits, t_inv):
-    """Q^-1 = T^-1 + (T^-1 a^T) M^-1 (b T^-1), M = I + b T^-1 a^T, at
-    block level: T^-1 acts on the block-constant a^T and b through
-    T^-1(1), and the update term is zero or all ones on every block."""
-    t1 = np.bitwise_count(t_inv.first_rows).sum(axis=-1, dtype=np.int64) & 1
-    ta = (t1 @ a_bits.T) & 1
-    tb = (b_bits @ t1) & 1
+def _woodbury(ps, a_bits, b_bits, t1_inv):
+    """U's block bits, Q^-1 = T^-1 + U with U = (T^-1 a^T) M^-1 (b T^-1)
+    and M = I + b T^-1 a^T: T^-1 acts on the block-constant a^T and b
+    through T^-1(1) = t1_inv, and U is zero or all ones on every block."""
+    ta = (t1_inv @ a_bits.T) & 1
+    tb = (b_bits @ t1_inv) & 1
     m = np.eye(ps.z, dtype=np.uint8)
     if ps.p & 1:
         m ^= ((b_bits @ ta) & 1).astype(np.uint8)
     m_inv = DenseMatrix.from_bits(m).invert().to_bits()
-    w = (((ta @ m_inv) & 1) @ tb) & 1
-    return gf2.add(t_inv, _block_constant(w, ps.p))
+    return (((ta @ m_inv) & 1) @ tb) & 1
 
 
-def generate_scrambler(ps: ParameterSet, stream: HashStream):
-    """Non-singular S with column weight at most m_s: identity diagonal
-    plus m_s - 1 layers following powers of one full cycle.
+def generate_scrambler(ps: ParameterSet, stream: HashStream, weighted: QcMatrix):
+    """(S, weighted S^-1) for a non-singular S with column weight at most
+    m_s: identity diagonal plus m_s - 1 layers following powers of one
+    full cycle.  With weighted = Q^-1 H this is the public H'.
 
     A matrix whose row and column weights are all even is singular (the
     all-ones vector lies in its kernel), so for even m_s one off-diagonal
     placement is dropped; every column weight stays <= m_s, which is all
     the verification bound relies on.
 
-    S^-1 comes from QcMatrix.invert, which runs Gauss-Jordan on the
-    n0 x n0 grid of circulants as polynomials modulo x^p - 1; it never
-    expands S.
+    S^-1 is never formed: X = weighted S^-1 is the solve of S^T against
+    weighted^T, transposed, which redraws a singular S at its attempt.
     """
     if ps.m_s == 1:
         warnings.warn("column weight 1 makes the scrambler a bare permutation",
@@ -342,7 +337,7 @@ def generate_scrambler(ps: ParameterSet, stream: HashStream):
 
     def draw(attempt):
         s = _sample_scrambler(ps, stream.substream(b"scrambler", attempt))
-        return Scrambler(s, gf2.invert(s))
+        return s, s.transpose().solve(weighted.transpose()).transpose()
     return _redraw("invertible scrambler", draw)
 
 
@@ -389,16 +384,18 @@ def assemble(ps: ParameterSet, seed: bytes):
     """Full key pair from a 32-byte master seed."""
     stream = HashStream(seed)
     g, h = generate_systematic(ps, stream)
-    wc = generate_weight_control(ps, stream)
-    scr = generate_scrambler(ps, stream)
-    return assemble_from_parts(ps, seed, g, h, wc.constraints, wc.sparse_map,
-                               wc.weight_ctrl_inv, scr.scrambler, scr.scrambler_inv)
+    wc, weighted = generate_weight_control(ps, stream, h)
+    s, h_prime = generate_scrambler(ps, stream, weighted)
+    return (PrivateKey(ps, seed, g, wc.constraints, wc.sparse_map, s),
+            PublicKey(ps, h_prime, wc.constraints))
 
 
 def assemble_from_parts(ps, seed, generator, parity_check, constraints,
-                        sparse_map, weight_ctrl_inv, scrambler, scrambler_inv):
-    """Wire explicit factors into a key pair; H' = Q^-1 H S^-1."""
-    h_prime = gf2.multiply(gf2.multiply(weight_ctrl_inv, parity_check), scrambler_inv)
+                        sparse_map, scrambler):
+    """Wire explicit factors into a key pair whose weight control is the
+    sparse map alone (Q = T): H' = T^-1 H S^-1, from one solve each."""
+    weighted = sparse_map.solve(parity_check)
+    h_prime = scrambler.transpose().solve(weighted.transpose()).transpose()
     sk = PrivateKey(ps, seed, generator, constraints, sparse_map, scrambler)
     pk = PublicKey(ps, h_prime, constraints)
     return sk, pk

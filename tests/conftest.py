@@ -2,7 +2,9 @@
 
 The private key holds only the signing state (G, b, T, S).  Tests of
 H, a, Q, Q^-1 and S^-1 read them from the *_factors fixtures, which run
-the keygen stages on the same seed stream as assemble.
+the keygen stages on the same seed stream as assemble.  Keygen forms
+none of Q, Q^-1 and S^-1 (it solves against T and S), so WeightFactors
+materializes Q and Q^-1 and key_factors inverts S here.
 
 DENSE_SET has block size p = 1, so its key matrices are plain binary
 grids of 1 x 1 blocks; its denser generator rows keep the leftmost
@@ -12,14 +14,15 @@ rows.
 
 import struct
 import time
+from functools import cached_property
 from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
+from ldgmsig import gf2, keygen
 from ldgmsig.fileio import PUBLIC_MAGIC
 from ldgmsig.keygen import (
-    Scrambler,
     WeightControl,
     assemble,
     generate_scrambler,
@@ -50,19 +53,45 @@ Z2_SET = ParameterSet("z2-test", n=96, k=48, p=2, w=3, w_g=9, w_c=18,
                       z=2, m_t=1, m_s=2, x=8, y=6).validate()
 
 
+class WeightFactors(WeightControl):
+    """Keygen's factors of Q, with Q and Q^-1."""
+
+    def low_rank_part(self) -> QcMatrix:
+        """Materialize R = a^T b on the grid of T: a and b are constant on
+        each block of p columns, so every block of R is zero or all ones."""
+        p = self.sparse_map.p
+        outer = self.lowrank_left.transpose().mul_matrix(self.constraints)
+        return keygen._block_constant(outer.to_bits()[::p, ::p], p)
+
+    def weight_ctrl(self) -> QcMatrix:
+        """Materialize Q = R + T."""
+        return gf2.add(self.low_rank_part(), self.sparse_map)
+
+    @cached_property
+    def weight_ctrl_inv(self) -> QcMatrix:
+        return gf2.invert(self.weight_ctrl())
+
+
+class ScramblerFactors(NamedTuple):
+    scrambler: QcMatrix
+    scrambler_inv: QcMatrix
+
+
 class Factors(NamedTuple):
     generator: QcMatrix
     parity_check: QcMatrix
-    wc: WeightControl
-    scr: Scrambler
+    wc: WeightFactors
+    scr: ScramblerFactors
 
 
 def key_factors(ps, seed=CANON_SEED) -> Factors:
-    """Every factor keygen draws for (ps, seed), as assemble draws them."""
+    """Every factor keygen draws for (ps, seed), as assemble draws them,
+    with Q^-1 and S^-1 from QcMatrix.invert."""
     stream = HashStream(seed)
     g, h = generate_systematic(ps, stream)
-    return Factors(g, h, generate_weight_control(ps, stream),
-                   generate_scrambler(ps, stream))
+    wc, weighted = generate_weight_control(ps, stream, h)
+    s, _ = generate_scrambler(ps, stream, weighted)
+    return Factors(g, h, WeightFactors(**vars(wc)), ScramblerFactors(s, gf2.invert(s)))
 
 
 @pytest.fixture(scope="session")

@@ -449,6 +449,48 @@ def test_qc_invert_without_a_unit_pivot():
     assert a.multiply(got) == QcMatrix.identity(2, 3)
 
 
+def shift_permutation(rng, br, p):
+    """A permutation of circulant shifts: one single-one block per block
+    row and block column."""
+    return QcMatrix.grid(br, br, p, [(i, int(j), int(rng.integers(p)))
+                                     for i, j in enumerate(rng.permutation(br))])
+
+
+@given(st.sampled_from(sorted(QC_INVERT_BLOCKS)), st.integers(1, 3),
+       st.sampled_from(["invertible", "random", "permutation", "singular"]),
+       st.data())
+def test_qc_solve_matches_dense_solve(p, rhs_blocks, kind, data):
+    # A^-1 B from the ring elimination against the dense inverse of the
+    # expansion times B; a zero block column makes A singular
+    br = data.draw(st.integers(1, QC_INVERT_BLOCKS[p]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "invertible":
+        a = invertible_qc(rng, br, p)
+    elif kind == "permutation":
+        a = shift_permutation(rng, br, p)
+    else:
+        a = random_qc(rng, br, br, p)
+        if kind == "singular":
+            a.first_rows[:, 0] = 0
+    b = random_qc(rng, br, rhs_blocks, p)
+    try:
+        want = a.expand().invert().mul_matrix(b.expand())
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            a.solve(b)
+        return
+    assert kind != "singular"
+    assert a.solve(b).expand() == want
+
+
+def test_qc_solve_without_a_unit_pivot():
+    # the p = 3 pivot merge of test_qc_invert_without_a_unit_pivot,
+    # against a right-hand side of three block columns
+    a = qc_from_polys([[0b011, 0b001], [0b111, 0b001]], 3)
+    b = random_qc(np.random.default_rng(60), 2, 3, 3)
+    assert a.solve(b).expand() == a.expand().invert().mul_matrix(b.expand())
+
+
 def test_qc_invert_singular_modulo_one_factor():
     # diag(x + 1, 1) is singular modulo x + 1 only: its determinant
     # x + 1 is nonzero, yet no unit

@@ -51,6 +51,34 @@ def test_singular_information_set_reported():
         derive_systematic_parity(g)
 
 
+@pytest.mark.parametrize("p", [3, 4, 6])
+def test_information_set_screen_refuses_only_singular_draws(toy, p):
+    # x -> 1 is a ring homomorphism, so a left block singular at x = 1 is
+    # singular; x^4 - 1 = (x + 1)^4 has no other factor, so at p = 4 the
+    # screen refuses exactly the singular draws
+    ps = dataclasses.replace(toy, p=p).validate()
+    screened = singular = 0
+    for attempt in range(200):
+        g = keygen._sample_generator(
+            ps, HashStream(CANON_SEED).substream(b"ldgm-rows", attempt))
+        try:
+            QcMatrix(ps.k0, ps.k0, p, g.first_rows[:, :ps.k0]).invert()
+            inverts = True
+        except gf2.SingularMatrixError:
+            inverts = False
+        try:
+            derive_systematic_parity(g)
+            refused = False
+        except InformationSetError as e:
+            refused = str(e).endswith("at x = 1")
+        assert not (refused and inverts)
+        if p == 4:
+            assert refused == (not inverts)
+        screened += refused
+        singular += not inverts
+    assert 0 < screened <= singular < 200
+
+
 def test_full_length_rows_rejected():
     ps = ParameterSet("wide", n=8, k=2, p=1, w=2, w_g=8, w_c=8,
                       z=1, m_t=1, m_s=2, x=2, y=1).validate()
@@ -199,7 +227,7 @@ def test_identity_hooks_expose_parity_check(toy, toy_keys, toy_factors):
     eye_n = QcMatrix.identity(toy.n0, toy.p)
     _, pk = assemble_from_parts(
         toy, CANON_SEED, sk.generator, toy_factors.parity_check,
-        sk.constraints, sk.sparse_map, eye_r, eye_n, eye_n)
+        sk.constraints, eye_r, eye_n)
     assert pk.parity_check == toy_factors.parity_check
 
 
@@ -218,7 +246,7 @@ def test_private_key_is_the_signing_state(toy_keys, toy_factors):
 def test_bare_permutation_scrambler_warns(toy):
     thin = dataclasses.replace(toy, m_s=1).validate()
     with pytest.warns(UserWarning):
-        generate_scrambler(thin, HashStream(CANON_SEED))
+        scrambler_inverse(thin, HashStream(CANON_SEED))
 
 
 def test_weight_control_matches_factors(toy_factors):
@@ -230,11 +258,21 @@ def test_weight_control_matches_factors(toy_factors):
     assert r_part.expand() == outer
 
 
+def weight_control_inverse(ps, stream):
+    """Keygen's factors of Q and its Q^-1 H for H = I: Q^-1 itself."""
+    return generate_weight_control(ps, stream, QcMatrix.identity(ps.r0, ps.p))
+
+
+def scrambler_inverse(ps, stream):
+    """Keygen's S and its H S^-1 for H = I: S^-1 itself."""
+    return generate_scrambler(ps, stream, QcMatrix.identity(ps.n0, ps.p))
+
+
 def test_generate_weight_control_standalone():
-    wc = generate_weight_control(DENSE_SET, HashStream(CANON_SEED))
+    wc, weight_ctrl_inv = weight_control_inverse(DENSE_SET, HashStream(CANON_SEED))
     q = gf2.add(wc.sparse_map,
                 wc.lowrank_left.transpose().mul_matrix(wc.constraints))
-    assert gf2.multiply(q, wc.weight_ctrl_inv) == DenseMatrix.identity(
+    assert gf2.multiply(q, weight_ctrl_inv) == DenseMatrix.identity(
         DENSE_SET.r)
 
 
@@ -261,12 +299,12 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
     stream = HashStream(CANON_SEED)
     if singular:
         with pytest.raises(KeyGenerationError, match="singular for every draw"):
-            generate_weight_control(heavy, stream)
+            weight_control_inverse(heavy, stream)
         return
-    wc = generate_weight_control(heavy, stream)
+    wc, weight_ctrl_inv = weight_control_inverse(heavy, stream)
     q = gf2.add(wc.sparse_map,
                 wc.lowrank_left.transpose().mul_matrix(wc.constraints))
-    assert gf2.multiply(q, wc.weight_ctrl_inv) == DenseMatrix.identity(heavy.r)
+    assert gf2.multiply(q, weight_ctrl_inv) == DenseMatrix.identity(heavy.r)
 
 
 # S(1) = f(P_rho) with f = 1 + y + ... + y^(m_s - 1) over one n0-cycle,
@@ -287,13 +325,13 @@ def test_scrambler_weight_screened_before_drawing(ps, m_s, singular, monkeypatch
         drawn = []
         monkeypatch.setattr(keygen, "_full_cycle", lambda *args: drawn.append(args))
         with pytest.raises(KeyGenerationError, match="singular for every draw"):
-            generate_scrambler(heavy, HashStream(CANON_SEED))
+            scrambler_inverse(heavy, HashStream(CANON_SEED))
         assert drawn == []
         return
-    scr = generate_scrambler(heavy, HashStream(CANON_SEED))
-    assert gf2.multiply(scr.scrambler, scr.scrambler_inv) == QcMatrix.identity(
+    scrambler, scrambler_inv = scrambler_inverse(heavy, HashStream(CANON_SEED))
+    assert gf2.multiply(scrambler, scrambler_inv) == QcMatrix.identity(
         heavy.n0, heavy.p)
-    assert scr.scrambler.expand().col_weights().max() <= m_s
+    assert scrambler.expand().col_weights().max() <= m_s
 
 
 def _singular(*args):
@@ -314,10 +352,10 @@ CAPPED_STAGES = {
     "left-factor": (keygen._sample_constraints, keygen, "_random_bits",
                     lambda sub, rows, cols: np.zeros((rows, cols), np.uint8),
                     "constraint left factor without a zero row"),
-    "weight-control": (generate_weight_control, keygen, "_woodbury", _singular,
+    "weight-control": (weight_control_inverse, keygen, "_woodbury", _singular,
                        "invertible weight control"),
     # an all-zero S is singular on every draw
-    "scrambler": (generate_scrambler, keygen, "_sample_scrambler",
+    "scrambler": (scrambler_inverse, keygen, "_sample_scrambler",
                   lambda ps, sub: QcMatrix.grid(ps.n0, ps.n0, ps.p),
                   "invertible scrambler"),
 }
@@ -342,9 +380,9 @@ def test_constraint_draws_are_capped(toy, monkeypatch, case):
 
 
 def test_weight_three_sparse_map_round_trip():
-    # T is no permutation here: Q^-1 comes from T^-1 = gf2.invert(T)
-    # through T^-1(1), and the signer's T s, read from T's column
-    # supports, must match the expanded product
+    # T is no permutation here: keygen's Q^-1 H comes from the solve of
+    # T against H and from T(1)^-1, and the signer's T s, read from T's
+    # column supports, must match the expanded product
     ps = dataclasses.replace(DENSE_SET, m_t=3).validate()
     sk, pk = assemble(ps, CANON_SEED)
     wc = key_factors(ps).wc

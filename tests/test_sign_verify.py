@@ -166,7 +166,7 @@ def test_identity_pipeline_exposes_padded_syndrome(toy, toy_keys, toy_factors):
     eye_n = QcMatrix.identity(toy.n0, toy.p)
     hook_sk, hook_pk = assemble_from_parts(
         toy, CANON_SEED, sk.generator, toy_factors.parity_check,
-        sk.constraints, eye_r, eye_r, eye_n, eye_n)
+        sk.constraints, eye_r, eye_n)
     for i in range(20):
         msg = b"hook-%d" % i
         sig, trace = sign_trace(hook_sk, msg, zero_mask=True)
