@@ -13,7 +13,10 @@ each countermeasure matters:
 * zero-mask signing (the mask codeword c forced to zero) exposes the
   linearity of syndrome decoding, see linearity_forge;
 * permutation masking (Q and S replaced by permutations) exposes the
-  support of the private error, see support_decompose.
+  support of the private error, see support_decompose.  The
+  permutations are shift permutations on the set's own grid, a permuted
+  block identity with one cyclic shift per block row, so the ablation
+  key is built with the same quasi-cyclic solves as a real one.
 
 Both exist for analysis and tests only; normal key generation cannot
 produce them.
@@ -63,9 +66,9 @@ class SignatureTranscript:
 
     @classmethod
     def collect(cls, sk: PrivateKey, count: int, *, zero_mask: bool = False,
-                prefix: bytes = b"transcript",
                 want=None) -> "SignatureTranscript":
-        """Sign distinct messages until `count` pairs are gathered.
+        """Sign the messages b"transcript-0", b"transcript-1", ... until
+        `count` pairs are gathered.
 
         Messages whose counter search exhausts are skipped; the syndrome
         in each pair is recomputable from public data alone, so this is
@@ -83,7 +86,7 @@ class SignatureTranscript:
             if i > cap:
                 raise CounterExhausted(
                     f"could not gather {count} signatures in {i} messages")
-            msg = prefix + b"-%d" % i
+            msg = b"transcript-%d" % i
             i += 1
             try:
                 if want is None:
@@ -114,9 +117,16 @@ class AttackOutcome:
         return out
 
 
-def _permutation_grid(perm: np.ndarray) -> QcMatrix:
-    """Permutation matrix with its row-i bit at column perm[i], p = 1."""
-    return QcMatrix.grid(perm.size, perm.size, 1, [(i, j, 0) for i, j in enumerate(perm)])
+def _shift_permutation(sub: HashStream, size: int, p: int):
+    """A permutation of size * p bits that keeps the circulant grid: block
+    row bi holds one block, at block column sigma[bi], shifted by s_bi.
+    Returns the grid and its map pi, where row bi*p + u has its one at
+    column pi[bi*p + u] = sigma[bi]*p + (u + s_bi) mod p."""
+    sigma = sub.permutation(size)
+    shifts = [sub.below(p) for _ in range(size)]
+    grid = QcMatrix.grid(size, size, p, list(zip(range(size), sigma, shifts)))
+    pi = [sigma[bi] * p + (u + s) % p for bi, s in enumerate(shifts) for u in range(p)]
+    return grid, np.asarray(pi)
 
 
 def build_permutation_keypair(ps: ParameterSet, seed: bytes):
@@ -124,21 +134,19 @@ def build_permutation_keypair(ps: ParameterSet, seed: bytes):
 
     G and H are generated normally; the weight control degenerates to
     a permutation (a = b = 0, T = P1) and the scrambler to P2, so
-    H' = P1^T H P2^T. A permutation of the n bits does not respect the
-    circulant blocks, so every matrix of this key is a p = 1 grid, G
-    and H regrouped from their blocks of p. Returns (sk, pk, pi1, pi2)
-    where pi1, pi2 give row -> column of the set bit in P1, P2.
+    H' = P1^T H P2^T. P1 (r0 blocks) and P2 (n0 blocks) are shift
+    permutations on the set's own p x p grid, a permuted block identity
+    with one drawn shift per block row, so every solve is a product by
+    a transpose. Returns (sk, pk, pi1, pi2) where pi1, pi2 give row ->
+    column of the set bit in P1, P2.
     """
     if ps.m_t != 1:
         raise ValueError("permutation ablation needs m_t = 1")
     stream = HashStream(seed)
     g, h = generate_systematic(ps, stream)
-    pi1 = np.asarray(stream.substream(b"perm-q").permutation(ps.r))
-    pi2 = np.asarray(stream.substream(b"perm-s").permutation(ps.n))
-    p1, p2 = _permutation_grid(pi1), _permutation_grid(pi2)
-    sk, pk = assemble_from_parts(
-        ps, seed, QcMatrix.from_dense(g.expand()), QcMatrix.from_dense(h.expand()),
-        DenseMatrix(ps.z, ps.r), p1, p2)
+    p1, pi1 = _shift_permutation(stream.substream(b"perm-q"), ps.r0, ps.p)
+    p2, pi2 = _shift_permutation(stream.substream(b"perm-s"), ps.n0, ps.p)
+    sk, pk = assemble_from_parts(ps, seed, g, h, DenseMatrix(ps.z, ps.r), p1, p2)
     return sk, pk, pi1, pi2
 
 
@@ -237,11 +245,15 @@ def support_decompose(pk: PublicKey, transcript: SignatureTranscript,
     syndrome positions. The signature positions tied to those surviving
     syndrome bits fire in (nearly) every transcript entry, so they are
     flagged by frequency: positions whose count exceeds the mean by 3
-    standard deviations, at most m per surviving bit. The last quarter
-    of the transcript is held out, and success means at least one
-    flagged position that appears in at least half of the held-out
-    signatures. Failure modes: the intersection vanishes (w_L = 0), or
-    no position stands out (the masked, non-permutation scheme).
+    standard deviations and half the training signatures, at most m per
+    surviving bit. The second bar is the success rule's own, applied to
+    the training part; without it sparse signatures (ldgm-80, where the
+    3-sigma bar is below one count) flag every position seen once. The
+    last quarter of the transcript is held out, and success means at
+    least one flagged position that appears in at least half of the
+    held-out signatures. Failure modes: the intersection vanishes
+    (w_L = 0), or no position stands out (the masked, non-permutation
+    scheme at toy-1).
     """
     ps = pk.ps
     pairs = transcript.pairs[:budget] if budget else list(transcript.pairs)
@@ -269,7 +281,7 @@ def support_decompose(pk: PublicKey, transcript: SignatureTranscript,
         return AttackOutcome("decompose", False, len(train),
                              {"reason": "syndrome intersection vanished",
                               "w_l": 0, "transcript": len(pairs)})
-    threshold = freq.mean() + 3 * freq.std()
+    threshold = max(freq.mean() + 3 * freq.std(), len(train) / 2)
     flagged = np.flatnonzero(freq > threshold)
     flagged = flagged[np.argsort(freq[flagged])[::-1]][: ps.m * w_l]
     flagged = [int(v) for v in flagged]

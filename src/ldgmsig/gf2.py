@@ -55,18 +55,13 @@ __all__ = [
     "QcMatrix",
     "ColumnRotations",
     "ColumnSupports",
-    "multiply",
-    "add",
-    "transpose",
-    "invert",
     "rank",
-    "weight",
     "solve",
 ]
 
 # unpacked bits (one byte each) that QcMatrix.expand holds per group of
-# block rows: a one-shot expand of ldgm-80's 9800 x 9800 S^T would hold
-# about 96 MB
+# block rows: the one paper-size expand, ldgm-80's 4900 x 9800 H' for the
+# parity_rows note of perfbench's traced run, would hold about 48 MB at once
 EXPAND_GROUP_BITS = 1 << 20
 
 
@@ -714,38 +709,6 @@ class ColumnSupports:
         return counts[: self.rows] & 1
 
 
-def _as_dense(m) -> DenseMatrix:
-    return m.expand() if isinstance(m, QcMatrix) else m
-
-
-def multiply(a, b):
-    """Product over GF(2); QC x QC stays QC, vectors dispatch by side."""
-    if isinstance(a, BitVector) and isinstance(b, (DenseMatrix, QcMatrix)):
-        return b.vec_mul(a)
-    if isinstance(a, (DenseMatrix, QcMatrix)) and isinstance(b, BitVector):
-        return a.mul_vec(b)
-    if isinstance(a, QcMatrix) and isinstance(b, QcMatrix):
-        return a.multiply(b)
-    return _as_dense(a).mul_matrix(_as_dense(b))
-
-
-def add(a, b):
-    if type(a) is type(b) and not isinstance(a, DenseMatrix):
-        return a.add(b)
-    return _as_dense(a).add(_as_dense(b))
-
-
-def transpose(a):
-    return a.transpose()
-
-
-def invert(a):
-    return a.invert()
-
-
 def rank(a) -> int:
+    """Rank of a DenseMatrix or QcMatrix (a QC matrix expands)."""
     return a.rank()
-
-
-def weight(v) -> int:
-    return v.weight()

@@ -301,7 +301,7 @@ def generate_weight_control(ps: ParameterSet, stream: HashStream, parity_check: 
         u_h = _block_constant((update @ _at_one(parity_check)) & 1, ps.p)
         return (WeightControl(_expand_block_bits(a_bits, ps.p),
                               _expand_block_bits(b_bits, ps.p), t),
-                gf2.add(t.solve(parity_check), u_h))
+                t.solve(parity_check).add(u_h))
     return _redraw("invertible weight control", draw)
 
 

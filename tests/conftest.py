@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import settings
 
-from ldgmsig import gf2, keygen
+from ldgmsig import keygen
 from ldgmsig.fileio import PUBLIC_MAGIC
 from ldgmsig.keygen import (
     WeightControl,
@@ -65,11 +65,11 @@ class WeightFactors(WeightControl):
 
     def weight_ctrl(self) -> QcMatrix:
         """Materialize Q = R + T."""
-        return gf2.add(self.low_rank_part(), self.sparse_map)
+        return self.low_rank_part().add(self.sparse_map)
 
     @cached_property
     def weight_ctrl_inv(self) -> QcMatrix:
-        return gf2.invert(self.weight_ctrl())
+        return self.weight_ctrl().invert()
 
 
 class ScramblerFactors(NamedTuple):
@@ -91,7 +91,7 @@ def key_factors(ps, seed=CANON_SEED) -> Factors:
     g, h = generate_systematic(ps, stream)
     wc, weighted = generate_weight_control(ps, stream, h)
     s, _ = generate_scrambler(ps, stream, weighted)
-    return Factors(g, h, WeightFactors(**vars(wc)), ScramblerFactors(s, gf2.invert(s)))
+    return Factors(g, h, WeightFactors(**vars(wc)), ScramblerFactors(s, s.invert()))
 
 
 @pytest.fixture(scope="session")

@@ -137,7 +137,7 @@ def test_c3_counter_statistics(toy_keys, ldgm80):
         lo, hi = 0.8 * 2 ** sk.ps.z, 1.2 * 2 ** sk.ps.z
         results[label] = (mean, skipped)
         # an all-ones b accepts every even-weight syndrome at the first try
-        all_ones = gf2.weight(sk.constraints) == sk.ps.z * sk.ps.r
+        all_ones = sk.constraints.weight() == sk.ps.z * sk.ps.r
         check(failures, lo <= mean <= hi,
               f"{label} mean tries {mean:.2f} outside [{lo:.2f}, {hi:.2f}]"
               + (f" ({skipped} messages exhausted)" if skipped else "")
@@ -157,8 +157,8 @@ def test_c4_algebraic_invariants(toy, toy_keys, toy_factors):
     f = toy_factors
     failures = []
 
-    product = gf2.multiply(sk.generator, gf2.transpose(f.parity_check))
-    check(failures, gf2.weight(product) == 0, "G H^T != 0")
+    product = sk.generator.multiply(f.parity_check.transpose())
+    check(failures, product.weight() == 0, "G H^T != 0")
 
     b_rows = sk.constraints.data
     q = f.wc.weight_ctrl()
@@ -181,17 +181,17 @@ def test_c4_algebraic_invariants(toy, toy_keys, toy_factors):
           "low-rank disturbance exceeds rank z")
 
     h = f.parity_check
-    qh = gf2.multiply(q, h)
-    check(failures, qh.expand() == gf2.multiply(q.expand(), h.expand()),
+    qh = q.multiply(h)
+    check(failures, qh.expand() == q.expand().mul_matrix(h.expand()),
           "QC multiply disagrees with dense multiply")
     check(failures,
-          gf2.transpose(h).expand() == gf2.transpose(h.expand()),
+          h.transpose().expand() == h.expand().transpose(),
           "QC transpose disagrees with dense transpose")
     check(failures,
-          f.wc.weight_ctrl_inv.expand() == gf2.invert(q.expand()),
+          f.wc.weight_ctrl_inv.expand() == q.expand().invert(),
           "QC inverse disagrees with dense inverse")
     check(failures,
-          f.scr.scrambler_inv.expand() == gf2.invert(sk.scrambler.expand()),
+          f.scr.scrambler_inv.expand() == sk.scrambler.expand().invert(),
           "scrambler inverse disagrees with dense inverse")
 
     total = comb(toy.r, toy.w)

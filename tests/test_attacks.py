@@ -30,7 +30,7 @@ from ldgmsig.attacks import (
 )
 from ldgmsig.digest import CounterExhausted, digest_message, find_orthogonal, map_to_syndrome
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
-from ldgmsig.keygen import PublicKey, assemble
+from ldgmsig.keygen import PublicKey, assemble, generate_systematic
 from ldgmsig.params import get_params
 from ldgmsig.rng import HashStream
 from ldgmsig.sign import _sign_syndrome, sign_trace, verify
@@ -254,8 +254,8 @@ def test_decompose_zero_mask_pairs_follow_truth(toy):
 
 
 def test_decompose_defeated_by_masking(toy, toy_keys):
-    # same conditioning, real masked signer: the mask buries every
-    # per-position frequency below the 3-sigma bar
+    # same conditioning, real masked signer at toy-1: the mask buries
+    # every per-position frequency below the bar
     sk, pk = toy_keys
     tr = SignatureTranscript.collect(
         sk, 32, want=lambda s: 0 in s.support())
@@ -270,6 +270,57 @@ def test_decompose_unconditioned_intersection_vanishes(toy, toy_keys):
     # 32 natural weight-2 syndromes share no common position
     assert not out.success
     assert out.details["reason"] == "syndrome intersection vanished"
+
+
+def assert_shift_permutation(m, pi):
+    # one single-bit block in every block row and every block column
+    weights = np.bitwise_count(m.first_rows).sum(axis=-1)
+    assert weights.max() == 1
+    assert (weights.sum(axis=0) == 1).all() and (weights.sum(axis=1) == 1).all()
+    assert sorted(pi.tolist()) == list(range(m.rows))
+
+
+def test_permutation_keypair_stays_on_the_grid(toy):
+    sk, pk, pi1, pi2 = build_permutation_keypair(toy, CANON_SEED)
+    p1, p2 = sk.sparse_map, sk.scrambler
+    for m in (sk.generator, pk.parity_check, p1, p2):
+        assert m.p == toy.p
+    assert (p1.block_rows, p2.block_rows) == (toy.r0, toy.n0)
+    for m, pi in ((p1, pi1), (p2, pi2)):
+        assert_shift_permutation(m, pi)
+        bits = m.expand().to_bits()
+        assert np.array_equal(bits[np.arange(m.rows), pi], np.ones(m.rows))
+    _, h = generate_systematic(toy, HashStream(CANON_SEED))
+    dense = (p1.expand().to_bits().T @ h.expand().to_bits() % 2) @ p2.expand().to_bits().T % 2
+    assert np.array_equal(pk.parity_check.expand().to_bits(), dense)
+
+
+@pytest.fixture(scope="module")
+def ldgm80_ablation():
+    return build_permutation_keypair(get_params("ldgm-80"), CANON_SEED)
+
+
+def test_permutation_keypair_builds_at_ldgm80(ldgm80_ablation):
+    ps = get_params("ldgm-80")
+    sk, pk, pi1, pi2 = ldgm80_ablation
+    for m in (sk.generator, pk.parity_check, sk.sparse_map, sk.scrambler):
+        assert m.p == ps.p
+    assert_shift_permutation(sk.sparse_map, pi1)
+    assert_shift_permutation(sk.scrambler, pi2)
+
+
+def test_decompose_recovers_permutation_mapping_at_ldgm80(ldgm80_ablation):
+    # sparse signatures put the 3-sigma bar below one count; the bar of
+    # half the training set keeps once-seen positions out
+    ps = get_params("ldgm-80")
+    sk, pk, pi1, pi2 = ldgm80_ablation
+    truth = permutation_truth(ps, pi1, pi2)
+    tr = SignatureTranscript.collect(
+        sk, 32, zero_mask=True, want=lambda s: 0 in s.support())
+    out = support_decompose(pk, tr)
+    assert out.success
+    assert out.details["holdout_hit_rate"] == 1.0
+    assert out.recovered["signature_positions"] == [int(truth[0])]
 
 
 # -------------------------------------------------------------- isd strip

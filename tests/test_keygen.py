@@ -198,14 +198,14 @@ def test_weight_control_random_draws_both_classes(z2_keys, z2_factors):
 def test_weight_control_inverse_is_inverse(toy, toy_factors):
     wc = toy_factors.wc
     q = wc.weight_ctrl()
-    prod = gf2.multiply(q, wc.weight_ctrl_inv)
+    prod = q.multiply(wc.weight_ctrl_inv)
     assert prod.expand() == DenseMatrix.identity(toy.r)
 
 
 def test_scrambler_inverse_and_column_bound(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
     s_dense = sk.scrambler.expand()
-    prod = gf2.multiply(sk.scrambler, toy_factors.scr.scrambler_inv)
+    prod = sk.scrambler.multiply(toy_factors.scr.scrambler_inv)
     assert prod.expand() == DenseMatrix.identity(toy.n)
     assert s_dense.col_weights().max() <= toy.m_s
 
@@ -253,7 +253,7 @@ def test_weight_control_matches_factors(toy_factors):
     wc = toy_factors.wc
     r_part = wc.low_rank_part()
     q = wc.weight_ctrl()
-    assert gf2.add(q, wc.sparse_map).expand() == r_part.expand()
+    assert q.add(wc.sparse_map).expand() == r_part.expand()
     outer = wc.lowrank_left.transpose().mul_matrix(wc.constraints)
     assert r_part.expand() == outer
 
@@ -270,9 +270,9 @@ def scrambler_inverse(ps, stream):
 
 def test_generate_weight_control_standalone():
     wc, weight_ctrl_inv = weight_control_inverse(DENSE_SET, HashStream(CANON_SEED))
-    q = gf2.add(wc.sparse_map,
-                wc.lowrank_left.transpose().mul_matrix(wc.constraints))
-    assert gf2.multiply(q, weight_ctrl_inv) == DenseMatrix.identity(
+    q = wc.sparse_map.expand().add(
+        wc.lowrank_left.transpose().mul_matrix(wc.constraints))
+    assert q.mul_matrix(weight_ctrl_inv.expand()) == DenseMatrix.identity(
         DENSE_SET.r)
 
 
@@ -302,9 +302,9 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
             weight_control_inverse(heavy, stream)
         return
     wc, weight_ctrl_inv = weight_control_inverse(heavy, stream)
-    q = gf2.add(wc.sparse_map,
-                wc.lowrank_left.transpose().mul_matrix(wc.constraints))
-    assert gf2.multiply(q, weight_ctrl_inv) == DenseMatrix.identity(heavy.r)
+    q = wc.sparse_map.expand().add(
+        wc.lowrank_left.transpose().mul_matrix(wc.constraints))
+    assert q.mul_matrix(weight_ctrl_inv.expand()) == DenseMatrix.identity(heavy.r)
 
 
 # S(1) = f(P_rho) with f = 1 + y + ... + y^(m_s - 1) over one n0-cycle,
@@ -329,7 +329,7 @@ def test_scrambler_weight_screened_before_drawing(ps, m_s, singular, monkeypatch
         assert drawn == []
         return
     scrambler, scrambler_inv = scrambler_inverse(heavy, HashStream(CANON_SEED))
-    assert gf2.multiply(scrambler, scrambler_inv) == QcMatrix.identity(
+    assert scrambler.multiply(scrambler_inv) == QcMatrix.identity(
         heavy.n0, heavy.p)
     assert scrambler.expand().col_weights().max() <= m_s
 
@@ -386,7 +386,7 @@ def test_weight_three_sparse_map_round_trip():
     ps = dataclasses.replace(DENSE_SET, m_t=3).validate()
     sk, pk = assemble(ps, CANON_SEED)
     wc = key_factors(ps).wc
-    prod = gf2.multiply(wc.weight_ctrl(), wc.weight_ctrl_inv)
+    prod = wc.weight_ctrl().multiply(wc.weight_ctrl_inv)
     assert prod.expand() == DenseMatrix.identity(ps.r)
     t = sk.sparse_map.expand()
     assert np.array_equal(t.row_weights(), np.full(ps.r, 3))
