@@ -1,29 +1,28 @@
 """On-disk formats for keys and signatures.
 
-Each file is an envelope: a 6-byte magic, one version byte
-(FORMAT_VERSION, shared by all three) and the parameter set's name as
-one length byte and that many ASCII bytes.  The parameter set fixes
-every shape, so the payloads that follow are bare and their sizes are
-computed by the reader, never read from the file:
+Each file is an envelope: a 6-byte magic, one version byte (KEY_VERSION
+for both keys, SIGNATURE_VERSION for signatures) and the parameter set's
+name as one length byte and that many ASCII bytes.  The parameter set
+fixes every shape, so the payloads that follow are bare and their sizes
+are computed by the reader, never read from the file:
 
 * private key: the 32-byte seed, the first rows of G (k0 x n0 blocks),
   the rows of b (z x r), the first rows of T (r0 x r0), then the first
   rows of S (n0 x n0);
 * public key: the first rows of H' (r0 x n0), then the rows of b;
-* signature: the 32-bit counter, the 32-bit support count, then the
-  sorted support of e', one 32-bit index each.
+* signature: the 32-bit counter, then e' as an n-bit bitmap.
 
-A circulant's first row takes ceil(p/8) bytes and a row of b ceil(r/8)
-bytes.  Integers are little-endian, bit payloads are packed LSB-first
-within a byte, and every writer is deterministic, so identical seeds
-produce byte-identical files.  Readers treat the bytes as hostile and
-raise FormatError on anything that does not parse, trailing bytes
-included, so a truncated file is never mistaken for a short-but-valid
-one.  The only count a file supplies is the signature's support count,
-checked against n before it is read.  The private key reader also checks
-the weights that the signature weight bound rests on: w_g in every row
-of G, m_t in every row and column of T, and 1 to m_s in every column of
-S.
+A circulant's first row takes ceil(p/8) bytes, a row of b ceil(r/8)
+bytes and e' ceil(n/8) bytes.  Integers are little-endian, bit payloads
+are packed LSB-first within a byte, and every writer is deterministic,
+so identical seeds produce byte-identical files.  Readers treat the
+bytes as hostile and raise FormatError on anything that does not parse,
+trailing bytes included, so a truncated file is never mistaken for a
+short-but-valid one.  No file supplies a count.  The signature reader
+refuses a counter of y bits or more and a set bit past n, so each
+signature has one file.  The private key reader also checks the weights
+that the signature weight bound rests on: w_g in every row of G, m_t in
+every row and column of T, and 1 to m_s in every column of S.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ __all__ = [
 SECRET_MAGIC = b"LDGMSK"
 PUBLIC_MAGIC = b"LDGMPK"
 SIGNATURE_MAGIC = b"LDGMSG"
-FORMAT_VERSION = 2
+KEY_VERSION = 2
+SIGNATURE_VERSION = 3
 SEED_BYTES = 32
 
 
@@ -73,20 +73,20 @@ def _read_u32(fh, what: str) -> int:
     return struct.unpack("<I", _read_exact(fh, 4, what))[0]
 
 
-def _write_header(fh, magic: bytes, name: str) -> None:
+def _write_header(fh, magic: bytes, version: int, name: str) -> None:
     raw = name.encode("ascii")
     if not 0 < len(raw) < 256:
         raise ValueError(f"parameter set name {name!r} does not fit")
-    fh.write(magic + bytes([FORMAT_VERSION, len(raw)]) + raw)
+    fh.write(magic + bytes([version, len(raw)]) + raw)
 
 
-def _read_header(fh, magic: bytes, what: str) -> ParameterSet:
+def _read_header(fh, magic: bytes, version: int, what: str) -> ParameterSet:
     got = _read_exact(fh, len(magic), f"{what} magic")
     if got != magic:
         raise FormatError(f"bad {what} magic {got!r}")
-    version = _read_exact(fh, 1, f"{what} version")[0]
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported {what} version {version}")
+    got_version = _read_exact(fh, 1, f"{what} version")[0]
+    if got_version != version:
+        raise FormatError(f"unsupported {what} version {got_version}")
     length = _read_exact(fh, 1, f"{what} set id")[0]
     raw = _read_exact(fh, length, f"{what} set id")
     try:
@@ -154,7 +154,7 @@ def _dump_private(fh, sk: PrivateKey) -> None:
     ps = sk.ps
     if len(sk.seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes")
-    _write_header(fh, SECRET_MAGIC, ps.name)
+    _write_header(fh, SECRET_MAGIC, KEY_VERSION, ps.name)
     fh.write(sk.seed)
     _write_grid(fh, ps, sk.generator, ps.k0, ps.n0)
     _write_constraints(fh, ps, sk.constraints)
@@ -163,7 +163,7 @@ def _dump_private(fh, sk: PrivateKey) -> None:
 
 
 def _load_private(fh) -> PrivateKey:
-    ps = _read_header(fh, SECRET_MAGIC, "private key")
+    ps = _read_header(fh, SECRET_MAGIC, KEY_VERSION, "private key")
     seed = _read_exact(fh, SEED_BYTES, "private key seed")
     g = _read_grid(fh, ps, ps.k0, ps.n0, "generator")
     b = _read_constraints(fh, ps)
@@ -180,13 +180,13 @@ def _load_private(fh) -> PrivateKey:
 
 def _dump_public(fh, pk: PublicKey) -> None:
     ps = pk.ps
-    _write_header(fh, PUBLIC_MAGIC, ps.name)
+    _write_header(fh, PUBLIC_MAGIC, KEY_VERSION, ps.name)
     _write_grid(fh, ps, pk.parity_check, ps.r0, ps.n0)
     _write_constraints(fh, ps, pk.constraints)
 
 
 def _load_public(fh) -> PublicKey:
-    ps = _read_header(fh, PUBLIC_MAGIC, "public key")
+    ps = _read_header(fh, PUBLIC_MAGIC, KEY_VERSION, "public key")
     h_prime = _read_grid(fh, ps, ps.r0, ps.n0, "public parity check")
     b = _read_constraints(fh, ps)
     _no_trailing(fh, "public key")
@@ -194,28 +194,28 @@ def _load_public(fh) -> PublicKey:
 
 
 def _dump_signature(fh, name: str, sig: Signature) -> None:
-    _write_header(fh, SIGNATURE_MAGIC, name)
+    ps = get_params(name)
+    if sig.e_prime.length != ps.n:
+        raise ValueError(f"signature of length {sig.e_prime.length} does not fit "
+                         f"the {ps.name} layout")
+    if not 0 <= sig.theta < 1 << ps.y:
+        raise ValueError(f"counter {sig.theta} exceeds {ps.y} bits")
+    _write_header(fh, SIGNATURE_MAGIC, SIGNATURE_VERSION, ps.name)
     _write_u32(fh, sig.theta)
-    support = sig.e_prime.support()
-    _write_u32(fh, len(support))
-    fh.write(np.asarray(support, dtype="<u4").tobytes())
+    fh.write(sig.e_prime.to_bytes())
 
 
 def _load_signature(fh) -> tuple[str, Signature]:
-    ps = _read_header(fh, SIGNATURE_MAGIC, "signature")
+    ps = _read_header(fh, SIGNATURE_MAGIC, SIGNATURE_VERSION, "signature")
     theta = _read_u32(fh, "signature counter")
     if theta >> ps.y:
         raise FormatError(f"counter {theta} exceeds {ps.y} bits")
-    count = _read_u32(fh, "signature support count")
-    if count > ps.n:
-        raise FormatError(f"support count {count} exceeds length {ps.n}")
-    raw = _read_exact(fh, 4 * count, "signature support")
+    raw = _read_exact(fh, (ps.n + 7) // 8, "signature bitmap")
     _no_trailing(fh, "signature")
-    idx = np.frombuffer(raw, dtype="<u4")
-    if count and (idx[-1] >= ps.n or np.any(idx[1:] <= idx[:-1])):
-        raise FormatError("signature support not sorted below length")
-    e_prime = BitVector.from_support(ps.n, idx.astype(np.int64))
-    return ps.name, Signature(theta, e_prime)
+    # BitVector clears tail bits, so a set one is caught on the raw byte
+    if ps.n & 7 and raw[-1] >> (ps.n & 7):
+        raise FormatError(f"signature bit set past length {ps.n}")
+    return ps.name, Signature(theta, BitVector.from_bytes(ps.n, raw))
 
 
 def save_private_key(path, sk: PrivateKey) -> None:

@@ -73,7 +73,6 @@ class SignTrace:
     syndrome: BitVector
     theta: int
     tries: int
-    mapped: BitVector
     mask: BitVector
     redraws: int
 
@@ -133,17 +132,15 @@ def _sign_syndrome(sk: PrivateKey, pub: PublicSyndrome,
     """The signature on the syndrome and counter the scan found."""
     ps = sk.ps
     s = pub.s
-    mapped_support = sk.map_support(s)
-    mapped = BitVector.from_support(ps.r, mapped_support.tolist())
     if zero_mask:
         c, redraws = BitVector(ps.n), 0
     else:
         c, redraws = _select_rows(sk.generator_rows(), s, pub.theta, ps)
     # e + c as a list of positions: one in both cancels in the parity
-    positions = np.concatenate([ps.k + mapped_support, gf2._support(c)])
+    positions = np.concatenate([ps.k + sk.map_support(s), gf2._support(c)])
     e_prime = BitVector(ps.n, gf2._pack_bits(sk.scrambler_columns().sum_columns(positions)))
     sig = Signature(pub.theta, e_prime)
-    trace = SignTrace(s, pub.theta, pub.tries, mapped, c, redraws)
+    trace = SignTrace(s, pub.theta, pub.tries, c, redraws)
     return sig, trace
 
 

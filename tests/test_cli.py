@@ -113,13 +113,13 @@ def test_verify_rejects_tampered_message(workdir, capsys):
     assert "rejected: syndrome" in capsys.readouterr().err
 
 
-def test_verify_rejects_foreign_set_signature(workdir, capsys, toy_keys):
-    sk, _ = toy_keys
+def test_verify_rejects_foreign_set_signature(workdir, capsys, ldgm80):
+    # a genuine ldgm-80 signature checked against a toy-1 key
     _, pk_path = keygen(workdir)
     msg = workdir / "m.txt"
     msg.write_bytes(b"cross-set")
     fileio.save_signature(workdir / "alien.sig", "ldgm-80",
-                          sign(sk, b"cross-set"))
+                          sign(ldgm80[0], b"cross-set"))
     assert run(["verify", "--key", str(pk_path), "--in", str(msg),
                 "--sig", "alien.sig"]) == EXIT_FAIL
     assert "ldgm-80" in capsys.readouterr().err

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ldgmsig import fileio
 from ldgmsig.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from ldgmsig.fileio import (
-    FORMAT_VERSION,
+    KEY_VERSION,
+    SIGNATURE_VERSION,
     FormatError,
     PUBLIC_MAGIC,
     SECRET_MAGIC,
@@ -21,11 +23,11 @@ from ldgmsig.fileio import (
     save_public_key,
     save_signature,
 )
-from ldgmsig.gf2 import DenseMatrix, QcMatrix
+from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PublicKey
 from ldgmsig.sign import Signature, sign, verify
 
-from conftest import hostile_public_key
+from conftest import DENSE_SET, hostile_public_key
 
 
 def test_hostile_header_rejected_before_payload(tmp_path, toy_keys):
@@ -78,7 +80,7 @@ def test_private_key_rejects_mixed_kinds(tmp_path, toy_keys):
              ("sparse map", sk.sparse_map), ("scrambler", sk.scrambler)]
 
     def key_bytes(dense=None):
-        out = SECRET_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name + sk.seed
+        out = SECRET_MAGIC + bytes([KEY_VERSION, len(name)]) + name + sk.seed
         for what, mat in parts:
             out += payload(mat.expand() if what == dense else mat)
         return out
@@ -98,7 +100,7 @@ def test_private_key_rejects_mixed_kinds(tmp_path, toy_keys):
 def test_public_key_rejects_dense_parity_check(tmp_path, toy_keys):
     _, pk = toy_keys
     name = pk.ps.name.encode()
-    header = PUBLIC_MAGIC + bytes([FORMAT_VERSION, len(name)]) + name
+    header = PUBLIC_MAGIC + bytes([KEY_VERSION, len(name)]) + name
     path = tmp_path / "dense.pk"
     save_public_key(path, pk)
     assert path.read_bytes() == header + payload(pk.parity_check) + payload(pk.constraints)
@@ -163,42 +165,72 @@ def test_signature_roundtrip(tmp_path, toy_keys):
     assert again.read_bytes() == path.read_bytes()
 
 
-def sig_bytes(theta, support, name=b"toy-1"):
-    out = bytearray()
-    out += SIGNATURE_MAGIC
-    out += bytes([FORMAT_VERSION, len(name)])
-    out += name
-    out += struct.pack("<I", theta)
-    out += struct.pack("<I", len(support))
-    out += np.asarray(support, dtype="<u4").tobytes()
-    return bytes(out)
+def sig_bytes(theta, bitmap, name=b"toy-1", version=SIGNATURE_VERSION):
+    return (SIGNATURE_MAGIC + bytes([version, len(name)]) + name
+            + struct.pack("<I", theta) + bytes(bitmap))
+
+
+def test_signature_file_is_counter_and_bitmap(tmp_path, toy_keys, ldgm80):
+    # header, 4 counter bytes, then ceil(n/8) bytes of e'
+    for sk, size in ((toy_keys[0], 20), (ldgm80[0], 1244)):
+        sig = sign(sk, b"sized")
+        path = tmp_path / f"{sk.ps.name}.sig"
+        save_signature(path, sk.ps.name, sig)
+        assert path.read_bytes() == sig_bytes(sig.theta, sig.e_prime.to_bytes(),
+                                              sk.ps.name.encode())
+        assert len(path.read_bytes()) == size
 
 
 def test_signature_validation(tmp_path):
+    # toy-1: y = 2 counter bits, n = 24 bits of e' in 3 bytes
     path = tmp_path / "bad.sig"
+    good = sig_bytes(3, b"\x01\x00\x80")
     cases = [
-        sig_bytes(4, [1, 2]),          # counter above 2^y - 1 = 3
-        sig_bytes(0, list(range(25))), # support count above n
-        sig_bytes(0, [5, 3]),          # unsorted
-        sig_bytes(0, [3, 3]),          # duplicate
-        sig_bytes(0, [3, 24]),         # index off the end
-        sig_bytes(0, [1, 2]) + b"\x00",  # trailing byte
-        sig_bytes(0, [1, 2])[:-1],     # truncated
+        (sig_bytes(4, b"\x01\x00\x80"), "counter 4 exceeds 2 bits"),
+        (good[:-1], "truncated signature bitmap"),
+        (good + b"\x00", "trailing data after signature"),
+        (sig_bytes(3, b"\x01\x00\x80", version=2), "unsupported signature version 2"),
     ]
-    for raw in cases:
+    for raw, reason in cases:
         path.write_bytes(raw)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=reason):
             load_signature(path)
-    path.write_bytes(sig_bytes(3, [0, 23]))
+    path.write_bytes(good)
     name, sig = load_signature(path)
     assert (name, sig.theta, sig.e_prime.support()) == ("toy-1", 3, [0, 23])
 
 
+def test_signature_bit_past_length_refused(tmp_path, monkeypatch):
+    # no registered set has spare bits in its last byte, so the reader is
+    # pointed at DENSE_SET: n = 28 leaves the top 4 bits of byte 3 spare
+    monkeypatch.setattr(fileio, "get_params", lambda name: DENSE_SET)
+    path = tmp_path / "tail.sig"
+    path.write_bytes(sig_bytes(0, b"\x00\x00\x00\x0f"))
+    assert load_signature(path)[1].e_prime.support() == [24, 25, 26, 27]
+    path.write_bytes(sig_bytes(0, b"\x00\x00\x00\x10"))
+    with pytest.raises(FormatError, match="bit set past length 28"):
+        load_signature(path)
+
+
+def test_signature_writer_refuses_other_layouts(tmp_path, toy_keys):
+    sig = sign(toy_keys[0], b"off layout")
+    path = tmp_path / "alien.sig"
+    with pytest.raises(ValueError, match="length 24 does not fit the ldgm-80 layout"):
+        save_signature(path, "ldgm-80", sig)
+    with pytest.raises(ValueError, match="counter 4 exceeds 2 bits"):
+        save_signature(path, "toy-1", Signature(4, sig.e_prime))
+    with pytest.raises(ValueError, match="toy-9"):
+        save_signature(path, "toy-9", sig)
+
+
 def test_empty_support_signature_roundtrips(tmp_path):
     path = tmp_path / "zero.sig"
-    path.write_bytes(sig_bytes(0, []))
+    path.write_bytes(sig_bytes(0, bytes(3)))
     _, sig = load_signature(path)
-    assert sig.e_prime.weight() == 0
+    assert sig.e_prime == BitVector(24)
+    again = tmp_path / "again.sig"
+    save_signature(again, "toy-1", sig)
+    assert again.read_bytes() == path.read_bytes()
 
 
 MESSAGE = b"fuzzed file"
@@ -223,8 +255,9 @@ def toy_files(tmp_path_factory, toy_keys):
     ("m.sig", "signature", load_signature),
 ])
 def test_version_one_files_are_refused(tmp_path, toy_files, name, what, load):
+    # keys are at version 2 and signatures, stored as bitmaps, at 3
     raw = bytearray(toy_files.joinpath(name).read_bytes())
-    assert raw[6] == FORMAT_VERSION == 2
+    assert raw[6] == (3 if what == "signature" else 2)
     raw[6] = 1
     path = tmp_path / name
     path.write_bytes(bytes(raw))
