@@ -15,18 +15,20 @@ are computed by the reader, never read from the file:
 A circulant's first row takes ceil(p/8) bytes, a row of b ceil(r/8)
 bytes and e' ceil(n/8) bytes.  Integers are little-endian, bit payloads
 are packed LSB-first within a byte, and every writer is deterministic,
-so identical seeds produce byte-identical files.  Readers treat the
-bytes as hostile and raise FormatError on anything that does not parse,
-trailing bytes included, so a truncated file is never mistaken for a
-short-but-valid one.  No file supplies a count.  The signature reader
-refuses a counter of y bits or more and a set bit past n, so each
-signature has one file.  The private key reader also checks the weights
-that the signature weight bound rests on: w_g in every row of G, m_t in
-every row and column of T, and 1 to m_s in every column of S.
+so identical seeds produce byte-identical files.  A writer that refuses
+its input leaves the path untouched.  Readers treat the bytes as hostile
+and raise FormatError on anything that does not parse, trailing bytes
+included, so a truncated file is never mistaken for a short-but-valid
+one.  No file supplies a count.  The signature reader refuses a counter
+of y bits or more and a set bit past n, so each signature has one file.
+The private key reader also checks the weights that the signature weight
+bound rests on: w_g in every row of G, m_t in every row and column of T,
+and 1 to m_s in every column of S.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
@@ -218,9 +220,17 @@ def _load_signature(fh) -> tuple[str, Signature]:
     return ps.name, Signature(theta, BitVector.from_bytes(ps.n, raw))
 
 
-def save_private_key(path, sk: PrivateKey) -> None:
+def _save(path, dump, *args) -> None:
+    """Serialize in memory first, so a refused layout leaves the path as
+    it was: an existing file keeps its bytes and no new one appears."""
+    buf = io.BytesIO()
+    dump(buf, *args)
     with open(path, "wb") as fh:
-        _dump_private(fh, sk)
+        fh.write(buf.getvalue())
+
+
+def save_private_key(path, sk: PrivateKey) -> None:
+    _save(path, _dump_private, sk)
 
 
 def load_private_key(path) -> PrivateKey:
@@ -229,8 +239,7 @@ def load_private_key(path) -> PrivateKey:
 
 
 def save_public_key(path, pk: PublicKey) -> None:
-    with open(path, "wb") as fh:
-        _dump_public(fh, pk)
+    _save(path, _dump_public, pk)
 
 
 def load_public_key(path) -> PublicKey:
@@ -239,8 +248,7 @@ def load_public_key(path) -> PublicKey:
 
 
 def save_signature(path, name: str, sig: Signature) -> None:
-    with open(path, "wb") as fh:
-        _dump_signature(fh, name, sig)
+    _save(path, _dump_signature, name, sig)
 
 
 def load_signature(path) -> tuple[str, Signature]:

@@ -14,9 +14,14 @@ Layout conventions used throughout the package:
   XOR-accumulated (block row, block column, shift) entries, so no other
   module sets first-row bits.
 
-The key matrices are all quasi-cyclic.  Dense matrices keep packed rows,
-and operations on them are vectorized over numpy uint8 arrays.  A QC
-matrix times a vector never expands the matrix, and neither does a
+The module holds what the scheme calls: the key matrices, all
+quasi-cyclic, with their products, ring solves and the toy-size expand;
+small dense matrices (b and keygen's block-level screens) with rank and
+inverse; the linearity attack's dense solve; and the ranks perfbench
+names.  Tests check it against perfbench/reference.py, which uses numpy
+alone and never imports this module.
+
+A QC matrix times a vector never expands the matrix, and neither does a
 QC x QC product: leading row i of A B is B^T times leading row i of A.
 Each product takes one of two routes, each read straight from the first
 rows and each matched to how dense the vector is:
@@ -110,13 +115,6 @@ def _support(v: BitVector) -> np.ndarray:
     return _unpack(v.data, v.length).nonzero()[0]
 
 
-def _parity_rows(data: np.ndarray, packed_vec: np.ndarray) -> np.ndarray:
-    """Per-row parity of <row, vec> for packed rows; returns 0/1 bytes."""
-    return (np.bitwise_count(data & packed_vec).sum(axis=1, dtype=np.int64) & 1).astype(
-        np.uint8
-    )
-
-
 class BitVector:
     """Immutable packed bit vector of a declared length."""
 
@@ -134,10 +132,6 @@ class BitVector:
                 self.data[-1] &= (1 << (length & 7)) - 1
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length)
-
-    @classmethod
     def from_support(cls, length: int, support) -> "BitVector":
         idx = np.asarray(list(support), dtype=np.int64)
         bits = np.zeros(length, dtype=np.uint8)
@@ -146,13 +140,6 @@ class BitVector:
                 raise ValueError("support index out of range")
             bits[idx] = 1
         return cls(length, _pack_bits(bits))
-
-    @classmethod
-    def from01(cls, text: str) -> "BitVector":
-        bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
-        if not np.all(bits <= 1):
-            raise ValueError("expected a 0/1 string")
-        return cls(len(text), _pack_bits(bits))
 
     @classmethod
     def from_bytes(cls, length: int, raw: bytes) -> "BitVector":
@@ -170,11 +157,6 @@ class BitVector:
 
     def support(self) -> list[int]:
         return np.nonzero(_unpack(self.data, self.length))[0].tolist()
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (int(self.data[i >> 3]) >> (i & 7)) & 1
 
     def xor(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
@@ -213,10 +195,6 @@ class DenseMatrix:
             self.data = _mask_tail(data.astype(np.uint8, copy=True), cols)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
         m = cls(n, n)
         idx = np.arange(n)
@@ -228,47 +206,11 @@ class DenseMatrix:
         bits = np.asarray(bits, dtype=np.uint8)
         return cls(bits.shape[0], bits.shape[1], _pack_bits(bits))
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.data[i])
-
     def to_bits(self) -> np.ndarray:
         return _unpack(self.data, self.cols)
 
     def weight(self) -> int:
         return int(np.bitwise_count(self.data).sum())
-
-    def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.data).sum(axis=1)
-
-    def col_weights(self) -> np.ndarray:
-        return self.to_bits().sum(axis=0)
-
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("add of unequal shapes")
-        return DenseMatrix(self.rows, self.cols, self.data ^ other.data)
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix.from_bits(self.to_bits().T)
-
-    def mul_matrix(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        out = DenseMatrix(self.rows, other.cols)
-        bits = self.to_bits()
-        for i in range(self.rows):
-            out.data[i] = _rows_xor(other.data, np.nonzero(bits[i])[0])
-        return out
-
-    def mul_vec(self, v: BitVector) -> BitVector:
-        if self.cols != v.length:
-            raise ShapeError(f"{self.rows}x{self.cols} times length-{v.length}")
-        return BitVector(self.rows, _pack_bits(_parity_rows(self.data, v.data)))
-
-    def vec_mul(self, v: BitVector) -> BitVector:
-        if self.rows != v.length:
-            raise ShapeError(f"length-{v.length} times {self.rows}x{self.cols}")
-        return BitVector(self.cols, _rows_xor(self.data, v.support()))
 
     def rank(self) -> int:
         work = self.data.copy()
@@ -346,7 +288,7 @@ def solve(a: DenseMatrix, rhs: BitVector) -> BitVector | None:
     for i in range(rk, a.rows):
         if (aug[i, wbyte] >> 0) & 1:
             return None
-    x = BitVector.zeros(a.cols)
+    x = BitVector(a.cols)
     for i, col in enumerate(pivots):
         if (aug[i, wbyte] >> 0) & 1:
             x.data[col >> 3] |= 1 << (col & 7)
@@ -465,11 +407,6 @@ class QcMatrix:
         bits = _unpack(leading, block_cols * p).reshape(leading.shape[0], block_cols, p)
         return cls.grid(*bits.shape, bits=bits)
 
-    @classmethod
-    def from_dense(cls, m: DenseMatrix) -> "QcMatrix":
-        """The same matrix as a grid of 1 x 1 blocks (p = 1)."""
-        return cls.fold_dense_rows(m.data, m.cols, 1)
-
     def add(self, other: "QcMatrix") -> "QcMatrix":
         self._check_same_grid(other)
         return QcMatrix(
@@ -494,14 +431,6 @@ class QcMatrix:
             columns.sum_bytes(np.flatnonzero(row).tolist()) for row in lead_bits
         ), dtype=np.uint8).reshape(self.block_rows, _width(other.cols))
         return QcMatrix.fold_dense_rows(leading, other.block_cols, self.p)
-
-    def mul_vec(self, v: BitVector) -> BitVector:
-        return ColumnRotations(self).mul_vec(v)
-
-    def vec_mul(self, v: BitVector) -> BitVector:
-        if self.rows != v.length:
-            raise ShapeError(f"length-{v.length} times {self.rows}x{self.cols}")
-        return ColumnRotations(self.transpose()).mul_vec(v)
 
     def rank(self) -> int:
         return self.expand().rank()
@@ -608,9 +537,6 @@ class QcMatrix:
             raise AssertionError("leading row 0 of A A^-1 B is not that of B")
         leading = b"".join(row.to_bytes(_width(m0 * p), "little") for row in solved)
         return QcMatrix.fold_dense_rows(np.frombuffer(leading, np.uint8).reshape(n0, -1), m0, p)
-
-    def weight(self) -> int:
-        return int(np.bitwise_count(self.first_rows).sum()) * self.p
 
     def _check_same_grid(self, other):
         if (self.block_rows, self.block_cols, self.p) != (

@@ -23,7 +23,6 @@ information-set-decoding escape exponent
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -208,9 +207,6 @@ class SecurityReport:
     def as_record(self) -> str:
         d = self.as_dict()
         return " ".join(f"{key}={d[key]}" for key in d)
-
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict())
 
     def as_text(self) -> str:
         rows = [

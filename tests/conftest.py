@@ -13,10 +13,13 @@ rows.
 """
 
 import struct
+import sys
 import time
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -29,9 +32,14 @@ from ldgmsig.keygen import (
     generate_systematic,
     generate_weight_control,
 )
-from ldgmsig.gf2 import QcMatrix
+from ldgmsig.gf2 import BitVector, QcMatrix
 from ldgmsig.params import ParameterSet, get_params
 from ldgmsig.rng import HashStream
+
+# the suites check gf2's kernels against perfbench's numpy-only reference
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from reference import dense, matmul, vec_bits  # noqa: E402
 
 # property tests draw the same examples on every run, and a slow shared
 # machine must not turn a correct example into a deadline failure
@@ -53,6 +61,17 @@ Z2_SET = ParameterSet("z2-test", n=96, k=48, p=2, w=3, w_g=9, w_c=18,
                       z=2, m_t=1, m_s=2, x=8, y=6).validate()
 
 
+def times(m, v: BitVector) -> BitVector:
+    """m v^T by the reference, for a dense or QC matrix m."""
+    return BitVector.from_support(m.rows, np.flatnonzero(matmul(dense(m), vec_bits(v))))
+
+
+def bit_grid(bits) -> QcMatrix:
+    """The 0/1 array bits as a grid of 1 x 1 blocks (p = 1)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return QcMatrix.grid(*bits.shape, 1, bits=bits[:, :, None])
+
+
 class WeightFactors(WeightControl):
     """Keygen's factors of Q, with Q and Q^-1."""
 
@@ -60,8 +79,8 @@ class WeightFactors(WeightControl):
         """Materialize R = a^T b on the grid of T: a and b are constant on
         each block of p columns, so every block of R is zero or all ones."""
         p = self.sparse_map.p
-        outer = self.lowrank_left.transpose().mul_matrix(self.constraints)
-        return keygen._block_constant(outer.to_bits()[::p, ::p], p)
+        outer = matmul(dense(self.lowrank_left).T, dense(self.constraints))
+        return keygen._block_constant(outer[::p, ::p], p)
 
     def weight_ctrl(self) -> QcMatrix:
         """Materialize Q = R + T."""

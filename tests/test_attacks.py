@@ -29,13 +29,14 @@ from ldgmsig.attacks import (
     support_decompose,
 )
 from ldgmsig.digest import CounterExhausted, digest_message, find_orthogonal, map_to_syndrome
-from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
+from ldgmsig.gf2 import BitVector, DenseMatrix
 from ldgmsig.keygen import PublicKey, assemble, generate_systematic
 from ldgmsig.params import get_params
 from ldgmsig.rng import HashStream
 from ldgmsig.sign import _sign_syndrome, sign_trace, verify
 
-from conftest import CANON_SEED, GRAM_SEED
+from conftest import CANON_SEED, GRAM_SEED, bit_grid, times
+from reference import dense, matmul, rank, vec_bits
 
 ATTACK_SEED = bytes(range(31, -1, -1))
 
@@ -52,14 +53,11 @@ def permutation_truth(ps, pi1, pi2):
 
 def test_transcript_pairs_satisfy_public_parity(toy, toy_keys):
     sk, pk = toy_keys
-    h_rows = pk.parity_rows()
     for zero_mask in (False, True):
         tr = SignatureTranscript.collect(sk, 16, zero_mask=zero_mask)
         assert tr.count == 16
         for s, e_prime in tr.pairs:
-            parity = gf2._parity_rows(h_rows, e_prime.data)
-            got = np.packbits(parity.astype(np.uint8), bitorder="little")
-            assert got.tobytes() == s.to_bytes()
+            assert times(pk.parity_check, e_prime) == s
 
 
 def test_transcript_want_predicate_filters(toy, toy_keys):
@@ -178,19 +176,21 @@ def test_right_inverse_satisfies_syndrome_equation(toy_keys_gram):
 
 def test_right_inverse_lift_matches_dense_rows(toy_keys_gram):
     # the lift through the rotated columns of H'^T gives the forgery that
-    # XORing the dense rows of H' over the lifted support gives, with the
-    # Gram inverse taken densely as well
+    # the dense rows of H' give, checked in the reference's arithmetic
     _, pk = toy_keys_gram
     ps = pk.ps
-    h = pk.parity_check.expand()
-    gram_inv = h.mul_matrix(h.transpose()).invert()
+    h = dense(pk.parity_check)
+    assert rank(matmul(h, h.T)) == ps.r
     lift = right_inverse_gram(pk)
     for i in range(8):
         message = b"lift-%d" % i
         s_hat = map_to_syndrome(digest_message(message, ps), 0, ps)
-        lifted = gram_inv.mul_vec(s_hat)
-        dense = BitVector(ps.n, gf2._rows_xor(pk.parity_rows(), lifted.support()))
-        assert right_inverse_forge(pk, message, lift).forgery.e_prime == dense
+        # with H' H'^T invertible, f = y H' has H' f^T = (H' H'^T) y^T,
+        # so the one f in the row space of H' with syndrome s_hat is the
+        # XOR of the rows of H' over the support of (H' H'^T)^-1 s_hat
+        forged = vec_bits(right_inverse_forge(pk, message, lift).forgery.e_prime)
+        assert np.array_equal(matmul(h, forged), vec_bits(s_hat))
+        assert rank(np.vstack([h, forged])) == rank(h)
 
 
 def test_right_inverse_on_trivial_parity_check(toy):
@@ -198,8 +198,7 @@ def test_right_inverse_on_trivial_parity_check(toy):
     # forgery the padded target syndrome itself, weight w
     bits = np.concatenate([np.eye(toy.r, dtype=np.uint8),
                            np.zeros((toy.r, toy.k), dtype=np.uint8)], axis=1)
-    pk = PublicKey(toy, QcMatrix.from_dense(DenseMatrix.from_bits(bits)),
-                   DenseMatrix.zeros(toy.z, toy.r))
+    pk = PublicKey(toy, bit_grid(bits), DenseMatrix(toy.z, toy.r))
     out = right_inverse_forge(pk, b"trivial")
     s_hat = map_to_syndrome(digest_message(b"trivial", toy), 0, toy)
     assert out.details["syndrome_ok"]
@@ -263,6 +262,21 @@ def test_decompose_defeated_by_masking(toy, toy_keys):
     assert not out.success
 
 
+def test_decompose_survives_masking_at_ldgm80(ldgm80):
+    # at ldgm-80 the same conditioning beats the real masked signer: the
+    # flagged positions are exactly S (e_k + T e_0), where e_k + T e_0 is
+    # the padded private image of syndrome position 0
+    sk, pk, _ = ldgm80
+    ps = sk.ps
+    tr = SignatureTranscript.collect(
+        sk, 32, want=lambda s: 0 in s.support())
+    out = support_decompose(pk, tr)
+    assert out.success
+    image = ps.k + sk.map_support(BitVector.from_support(ps.r, [0]))
+    want = np.flatnonzero(sk.scrambler_columns().sum_columns(image))
+    assert sorted(out.recovered["signature_positions"]) == want.tolist()
+
+
 def test_decompose_unconditioned_intersection_vanishes(toy, toy_keys):
     sk, pk = toy_keys
     tr = SignatureTranscript.collect(sk, 32, zero_mask=True)
@@ -288,11 +302,11 @@ def test_permutation_keypair_stays_on_the_grid(toy):
     assert (p1.block_rows, p2.block_rows) == (toy.r0, toy.n0)
     for m, pi in ((p1, pi1), (p2, pi2)):
         assert_shift_permutation(m, pi)
-        bits = m.expand().to_bits()
+        bits = dense(m)
         assert np.array_equal(bits[np.arange(m.rows), pi], np.ones(m.rows))
     _, h = generate_systematic(toy, HashStream(CANON_SEED))
-    dense = (p1.expand().to_bits().T @ h.expand().to_bits() % 2) @ p2.expand().to_bits().T % 2
-    assert np.array_equal(pk.parity_check.expand().to_bits(), dense)
+    want = matmul(matmul(dense(p1).T, dense(h)), dense(p2).T)
+    assert np.array_equal(dense(pk.parity_check), want)
 
 
 @pytest.fixture(scope="module")
@@ -343,9 +357,7 @@ def test_isd_strip_masked_entry_succeeds_with_budget(toy, toy_keys):
     assert out.success
     assert out.details["stripped_weight"] <= toy.m * toy.w
     # the stripped vector differs from e' by a public codeword
-    diff = out.recovered.xor(entry[1])
-    h_rows = pk.parity_rows()
-    assert not gf2._parity_rows(h_rows, diff.data).any()
+    assert times(pk.parity_check, out.recovered.xor(entry[1])).weight() == 0
 
 
 def test_isd_strip_budget_zero_fails(toy_keys):
@@ -364,12 +376,10 @@ def test_key_recovery_finds_sparse_generator(toy, toy_keys):
                                   seed=ATTACK_SEED)
     assert out.success
     assert out.details["independent_found"] == toy.k
-    h_rows = pk.parity_rows()
     for word in out.recovered:
         assert word.weight() <= toy.w_g * toy.m_s
-        assert not gf2._parity_rows(h_rows, word.data).any()
-    basis = DenseMatrix(toy.k, toy.n, np.stack([w.data for w in out.recovered]))
-    assert basis.rank() == toy.k
+        assert times(pk.parity_check, word).weight() == 0
+    assert rank(np.stack([vec_bits(w) for w in out.recovered])) == toy.k
 
 
 def test_key_recovery_budget_zero(toy, toy_keys):
@@ -399,29 +409,27 @@ def test_span_basis_banks_like_rank_check(width, words):
     for word in (w & ((1 << width) - 1) for w in words):
         stacked = np.array([[(x >> i) & 1 for i in range(width)]
                             for x in kept + [word]], dtype=np.uint8)
-        independent = gf2.rank(DenseMatrix.from_bits(stacked)) == len(kept) + 1
+        independent = rank(stacked) == len(kept) + 1
         assert span.add(word) == independent
         if independent:
             kept.append(word)
 
 
 class _InvertThenMultiply(attacks._InformationSets):
-    """The route next() replaced: invert H'_rest, then multiply by H'_info."""
+    """The route next() replaced, in the reference's arithmetic: redraw
+    while H'_rest is singular, then A = H'_rest^-1 H'_info, given here as
+    the pair (H'_rest, H'_info) that H'_rest A = H'_info must satisfy."""
 
     def next(self):
         while True:
             drawn = self.stream.distinct(self.k, self.n)
             info = np.asarray(sorted(drawn))
             rest = np.setdiff1d(np.arange(self.n), info)
-            try:
-                inv = DenseMatrix.from_bits(self.bits[:, rest]).invert()
-            except gf2.SingularMatrixError:
-                self.redraws += 1
-                if self.redraws > self.cap:
-                    return None
-                continue
-            return info, rest, inv.mul_matrix(
-                DenseMatrix.from_bits(self.bits[:, info])).to_bits()
+            if rank(self.bits[:, rest]) == self.r:
+                return info, rest, (self.bits[:, rest], self.bits[:, info])
+            self.redraws += 1
+            if self.redraws > self.cap:
+                return None
 
 
 # r = 197 is a larger system than any toy key makes, and not a multiple
@@ -441,8 +449,9 @@ def test_information_sets_match_invert_then_multiply(r, k, density, seed):
         if want is None:
             assert got is None
             break
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        (info, rest, a), (want_info, want_rest, (h_rest, h_info)) = got, want
+        assert np.array_equal(info, want_info) and np.array_equal(rest, want_rest)
+        assert np.array_equal(matmul(h_rest, a), h_info)
 
 
 # ------------------------------------------------- pinned information sets

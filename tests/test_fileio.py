@@ -27,7 +27,8 @@ from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PublicKey
 from ldgmsig.sign import Signature, sign, verify
 
-from conftest import DENSE_SET, hostile_public_key
+from conftest import DENSE_SET, bit_grid, hostile_public_key
+from reference import dense, pack
 
 
 def test_hostile_header_rejected_before_payload(tmp_path, toy_keys):
@@ -79,10 +80,10 @@ def test_private_key_rejects_mixed_kinds(tmp_path, toy_keys):
     parts = [("generator", sk.generator), ("constraint matrix", sk.constraints),
              ("sparse map", sk.sparse_map), ("scrambler", sk.scrambler)]
 
-    def key_bytes(dense=None):
+    def key_bytes(dense_one=None):
         out = SECRET_MAGIC + bytes([KEY_VERSION, len(name)]) + name + sk.seed
         for what, mat in parts:
-            out += payload(mat.expand() if what == dense else mat)
+            out += pack(dense(mat)).tobytes() if what == dense_one else payload(mat)
         return out
 
     path = tmp_path / "mixed.sk"
@@ -92,7 +93,7 @@ def test_private_key_rejects_mixed_kinds(tmp_path, toy_keys):
     for what, mat in parts:
         if isinstance(mat, DenseMatrix):
             continue
-        path.write_bytes(key_bytes(dense=what))
+        path.write_bytes(key_bytes(dense_one=what))
         with pytest.raises(FormatError, match="trailing data after private key"):
             load_private_key(path)
 
@@ -105,17 +106,24 @@ def test_public_key_rejects_dense_parity_check(tmp_path, toy_keys):
     save_public_key(path, pk)
     assert path.read_bytes() == header + payload(pk.parity_check) + payload(pk.constraints)
     assert len(path.read_bytes()) == 33
-    path.write_bytes(header + payload(pk.parity_check.expand()) + payload(pk.constraints))
+    path.write_bytes(header + pack(dense(pk.parity_check)).tobytes()
+                     + payload(pk.constraints))
     with pytest.raises(FormatError, match="trailing data after public key"):
         load_public_key(path)
-    grid_b = QcMatrix.from_dense(pk.constraints)
+    grid_b = bit_grid(dense(pk.constraints))
     path.write_bytes(header + payload(pk.parity_check) + payload(grid_b))
     with pytest.raises(FormatError, match="trailing data after public key"):
         load_public_key(path)
-    # and the writer refuses to store H' off the parameter set's grid
-    with pytest.raises(ValueError, match="does not fit the toy-1 layout"):
-        save_public_key(path, PublicKey(pk.ps, QcMatrix.from_dense(
-            pk.parity_check.expand()), pk.constraints))
+    # and the writer refuses to store H' off the parameter set's grid,
+    # leaving an existing file as it was and creating no new one
+    off_grid = PublicKey(pk.ps, bit_grid(dense(pk.parity_check)), pk.constraints)
+    before = path.read_bytes()
+    fresh = tmp_path / "fresh.pk"
+    for target in (path, fresh):
+        with pytest.raises(ValueError, match="does not fit the toy-1 layout"):
+            save_public_key(target, off_grid)
+    assert path.read_bytes() == before
+    assert not fresh.exists()
 
 
 def test_public_key_roundtrip(tmp_path, toy_keys):
@@ -213,14 +221,22 @@ def test_signature_bit_past_length_refused(tmp_path, monkeypatch):
 
 
 def test_signature_writer_refuses_other_layouts(tmp_path, toy_keys):
+    # a refused write leaves an existing file byte-identical and creates
+    # no new one
     sig = sign(toy_keys[0], b"off layout")
     path = tmp_path / "alien.sig"
-    with pytest.raises(ValueError, match="length 24 does not fit the ldgm-80 layout"):
-        save_signature(path, "ldgm-80", sig)
-    with pytest.raises(ValueError, match="counter 4 exceeds 2 bits"):
-        save_signature(path, "toy-1", Signature(4, sig.e_prime))
-    with pytest.raises(ValueError, match="toy-9"):
-        save_signature(path, "toy-9", sig)
+    save_signature(path, "toy-1", sig)
+    before = path.read_bytes()
+    fresh = tmp_path / "fresh.sig"
+    for target in (path, fresh):
+        with pytest.raises(ValueError, match="length 24 does not fit the ldgm-80 layout"):
+            save_signature(target, "ldgm-80", sig)
+        with pytest.raises(ValueError, match="counter 4 exceeds 2 bits"):
+            save_signature(target, "toy-1", Signature(4, sig.e_prime))
+        with pytest.raises(ValueError, match="toy-9"):
+            save_signature(target, "toy-9", sig)
+    assert path.read_bytes() == before
+    assert not fresh.exists()
 
 
 def test_empty_support_signature_roundtrips(tmp_path):

@@ -23,7 +23,12 @@ from ldgmsig.params import ParameterSet
 from ldgmsig.rng import HashStream
 from ldgmsig.sign import sign, sign_trace, verify
 
-from conftest import CANON_SEED, DENSE_SET, Z2_SET, key_factors
+from conftest import CANON_SEED, DENSE_SET, Z2_SET, bit_grid, key_factors, times
+from reference import col_weights, dense, matmul, rank, row_weights
+
+
+def is_identity(bits) -> bool:
+    return np.array_equal(bits, np.eye(len(bits)))
 
 
 def all_weight_w(ps):
@@ -36,17 +41,15 @@ def test_systematic_parity_from_identity_block():
     rng = np.random.default_rng(50)
     k, r = 5, 7
     d = rng.integers(0, 2, size=(k, r), dtype=np.uint8)
-    g = QcMatrix.from_dense(DenseMatrix.from_bits(
-        np.concatenate([np.eye(k, dtype=np.uint8), d], axis=1)))
+    g = bit_grid(np.concatenate([np.eye(k, dtype=np.uint8), d], axis=1))
     h = derive_systematic_parity(g)
     want = np.concatenate([d.T, np.eye(r, dtype=np.uint8)], axis=1)
-    assert np.array_equal(h.expand().to_bits(), want)
-    assert g.multiply(h.transpose()).weight() == 0
+    assert np.array_equal(dense(h), want)
+    assert not matmul(dense(g), dense(h).T).any()
 
 
 def test_singular_information_set_reported():
-    g = QcMatrix.from_dense(DenseMatrix.from_bits(np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)))
+    g = bit_grid([[0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(InformationSetError):
         derive_systematic_parity(g)
 
@@ -61,11 +64,7 @@ def test_information_set_screen_refuses_only_singular_draws(toy, p):
     for attempt in range(200):
         g = keygen._sample_generator(
             ps, HashStream(CANON_SEED).substream(b"ldgm-rows", attempt))
-        try:
-            QcMatrix(ps.k0, ps.k0, p, g.first_rows[:, :ps.k0]).invert()
-            inverts = True
-        except gf2.SingularMatrixError:
-            inverts = False
+        inverts = rank(dense(QcMatrix(ps.k0, ps.k0, p, g.first_rows[:, :ps.k0]))) == ps.k
         try:
             derive_systematic_parity(g)
             refused = False
@@ -93,28 +92,24 @@ def test_generator_shape_and_row_weight(toy, toy_keys):
     sk, _ = toy_keys
     g = sk.generator
     assert (g.rows, g.cols) == (toy.k, toy.n)
-    assert gf2.rank(g) == toy.k
-    dense = g.expand()
-    assert np.array_equal(dense.row_weights(), np.full(toy.k, toy.w_g))
+    assert rank(dense(g)) == toy.k
+    assert np.array_equal(row_weights(g), np.full(toy.k, toy.w_g))
 
 
 def test_parity_check_is_systematic(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    h = toy_factors.parity_check.expand()
-    right = DenseMatrix.from_bits(h.to_bits()[:, toy.k:])
-    assert right == DenseMatrix.identity(toy.r)
-    assert sk.generator.expand().mul_matrix(h.transpose()).weight() == 0
+    h = dense(toy_factors.parity_check)
+    assert is_identity(h[:, toy.k:])
+    assert not matmul(dense(sk.generator), h.T).any()
 
 
 def test_dense_path_mirrors_qc_contracts(dense_keys, dense_factors):
     sk, pk = dense_keys
     ps = sk.ps
-    g = sk.generator.expand()
-    assert g.mul_matrix(dense_factors.parity_check.expand().transpose()).weight() == 0
-    assert np.array_equal(g.row_weights(), np.full(ps.k, ps.w_g))
-    assert pk.parity_check.rank() == ps.r
-    sig_cols = sk.scrambler.expand().col_weights()
-    assert sig_cols.max() <= ps.m_s
+    assert not matmul(dense(sk.generator), dense(dense_factors.parity_check).T).any()
+    assert np.array_equal(row_weights(sk.generator), np.full(ps.k, ps.w_g))
+    assert rank(dense(pk.parity_check)) == ps.r
+    assert col_weights(sk.scrambler).max() <= ps.m_s
 
 
 def test_keygen_is_seed_deterministic(toy):
@@ -133,18 +128,17 @@ def test_constraints_have_no_zero_column(toy, toy_keys, dense_keys):
     for sk, _ in (toy_keys, dense_keys):
         b = sk.constraints
         assert b.rows == sk.ps.z and b.cols == sk.ps.r
-        assert b.col_weights().min() >= 1
+        assert col_weights(b).min() >= 1
 
 
 def test_low_rank_part_stays_low_rank(toy, toy_factors):
-    assert gf2.rank(toy_factors.wc.low_rank_part()) <= toy.z
+    assert rank(dense(toy_factors.wc.low_rank_part())) <= toy.z
 
 
 def test_sparse_map_is_permutation_when_m_t_is_one(toy, toy_keys):
     sk, _ = toy_keys
-    t = sk.sparse_map.expand()
-    assert np.array_equal(t.row_weights(), np.ones(toy.r))
-    assert np.array_equal(t.col_weights(), np.ones(toy.r))
+    assert np.array_equal(row_weights(sk.sparse_map), np.ones(toy.r))
+    assert np.array_equal(col_weights(sk.sparse_map), np.ones(toy.r))
 
 
 def test_weight_control_annihilates_orthogonal_syndromes(toy, toy_keys, toy_factors):
@@ -158,9 +152,9 @@ def test_weight_control_annihilates_orthogonal_syndromes(toy, toy_keys, toy_fact
     b = sk.constraints
     count = 0
     for s in all_weight_w(toy):
-        assert b.mul_vec(s).weight() == 0
-        qs = q.mul_vec(s)
-        assert qs == t.mul_vec(s)
+        assert times(b, s).weight() == 0
+        qs = times(q, s)
+        assert qs == times(t, s)
         assert qs.weight() <= toy.m_t * toy.w
         count += 1
     assert count == 66
@@ -168,9 +162,9 @@ def test_weight_control_annihilates_orthogonal_syndromes(toy, toy_keys, toy_fact
     for weight in (1, 3):
         for support in itertools.combinations(range(toy.r), weight):
             s = BitVector.from_support(toy.r, support)
-            assert b.mul_vec(s).weight() == 1
+            assert times(b, s).weight() == 1
             odd += 1
-            mismatches += int(q.mul_vec(s) != t.mul_vec(s))
+            mismatches += int(times(q, s) != times(t, s))
     assert mismatches >= 0.99 * odd
 
 
@@ -184,13 +178,13 @@ def test_weight_control_random_draws_both_classes(z2_keys, z2_factors):
     for _ in range(1000):
         s = BitVector.from_support(
             ps.r, rng.choice(ps.r, size=ps.w, replace=False))
-        if b.mul_vec(s).weight() == 0:
+        if times(b, s).weight() == 0:
             orthogonal += 1
-            assert q.mul_vec(s) == t.mul_vec(s)
-            assert q.mul_vec(s).weight() <= ps.m_t * ps.w
+            assert times(q, s) == times(t, s)
+            assert times(q, s).weight() <= ps.m_t * ps.w
         else:
             nonorthogonal += 1
-            mismatches += int(q.mul_vec(s) != t.mul_vec(s))
+            mismatches += int(times(q, s) != times(t, s))
     assert orthogonal > 100 and nonorthogonal > 100
     assert mismatches >= 0.99 * nonorthogonal
 
@@ -198,25 +192,21 @@ def test_weight_control_random_draws_both_classes(z2_keys, z2_factors):
 def test_weight_control_inverse_is_inverse(toy, toy_factors):
     wc = toy_factors.wc
     q = wc.weight_ctrl()
-    prod = q.multiply(wc.weight_ctrl_inv)
-    assert prod.expand() == DenseMatrix.identity(toy.r)
+    assert is_identity(matmul(dense(q), dense(wc.weight_ctrl_inv)))
 
 
 def test_scrambler_inverse_and_column_bound(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    s_dense = sk.scrambler.expand()
-    prod = sk.scrambler.multiply(toy_factors.scr.scrambler_inv)
-    assert prod.expand() == DenseMatrix.identity(toy.n)
-    assert s_dense.col_weights().max() <= toy.m_s
+    assert is_identity(matmul(dense(sk.scrambler), dense(toy_factors.scr.scrambler_inv)))
+    assert col_weights(sk.scrambler).max() <= toy.m_s
 
 
 def test_public_key_factorization(toy, toy_keys, toy_factors):
     _, pk = toy_keys
     f = toy_factors
-    lhs = pk.parity_check.expand()
-    rhs = f.wc.weight_ctrl_inv.expand().mul_matrix(
-        f.parity_check.expand()).mul_matrix(f.scr.scrambler_inv.expand())
-    assert lhs == rhs
+    rhs = matmul(matmul(dense(f.wc.weight_ctrl_inv), dense(f.parity_check)),
+                 dense(f.scr.scrambler_inv))
+    assert np.array_equal(dense(pk.parity_check), rhs)
     assert pk.payload_bits() == toy.r * toy.n // toy.p
 
 
@@ -253,14 +243,19 @@ def test_weight_control_matches_factors(toy_factors):
     wc = toy_factors.wc
     r_part = wc.low_rank_part()
     q = wc.weight_ctrl()
-    assert q.add(wc.sparse_map).expand() == r_part.expand()
-    outer = wc.lowrank_left.transpose().mul_matrix(wc.constraints)
-    assert r_part.expand() == outer
+    assert np.array_equal(dense(q) ^ dense(wc.sparse_map), dense(r_part))
+    outer = matmul(dense(wc.lowrank_left).T, dense(wc.constraints))
+    assert np.array_equal(dense(r_part), outer)
 
 
 def weight_control_inverse(ps, stream):
     """Keygen's factors of Q and its Q^-1 H for H = I: Q^-1 itself."""
     return generate_weight_control(ps, stream, QcMatrix.identity(ps.r0, ps.p))
+
+
+def weight_ctrl(wc) -> np.ndarray:
+    """Q = T + a^T b as 0/1 bits, by the reference."""
+    return dense(wc.sparse_map) ^ matmul(dense(wc.lowrank_left).T, dense(wc.constraints))
 
 
 def scrambler_inverse(ps, stream):
@@ -270,10 +265,7 @@ def scrambler_inverse(ps, stream):
 
 def test_generate_weight_control_standalone():
     wc, weight_ctrl_inv = weight_control_inverse(DENSE_SET, HashStream(CANON_SEED))
-    q = wc.sparse_map.expand().add(
-        wc.lowrank_left.transpose().mul_matrix(wc.constraints))
-    assert q.mul_matrix(weight_ctrl_inv.expand()) == DenseMatrix.identity(
-        DENSE_SET.r)
+    assert is_identity(matmul(weight_ctrl(wc), dense(weight_ctrl_inv)))
 
 
 
@@ -302,9 +294,7 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
             weight_control_inverse(heavy, stream)
         return
     wc, weight_ctrl_inv = weight_control_inverse(heavy, stream)
-    q = wc.sparse_map.expand().add(
-        wc.lowrank_left.transpose().mul_matrix(wc.constraints))
-    assert q.mul_matrix(weight_ctrl_inv.expand()) == DenseMatrix.identity(heavy.r)
+    assert is_identity(matmul(weight_ctrl(wc), dense(weight_ctrl_inv)))
 
 
 # S(1) = f(P_rho) with f = 1 + y + ... + y^(m_s - 1) over one n0-cycle,
@@ -329,9 +319,8 @@ def test_scrambler_weight_screened_before_drawing(ps, m_s, singular, monkeypatch
         assert drawn == []
         return
     scrambler, scrambler_inv = scrambler_inverse(heavy, HashStream(CANON_SEED))
-    assert scrambler.multiply(scrambler_inv) == QcMatrix.identity(
-        heavy.n0, heavy.p)
-    assert scrambler.expand().col_weights().max() <= m_s
+    assert is_identity(matmul(dense(scrambler), dense(scrambler_inv)))
+    assert col_weights(scrambler).max() <= m_s
 
 
 def _singular(*args):
@@ -386,16 +375,15 @@ def test_weight_three_sparse_map_round_trip():
     ps = dataclasses.replace(DENSE_SET, m_t=3).validate()
     sk, pk = assemble(ps, CANON_SEED)
     wc = key_factors(ps).wc
-    prod = wc.weight_ctrl().multiply(wc.weight_ctrl_inv)
-    assert prod.expand() == DenseMatrix.identity(ps.r)
-    t = sk.sparse_map.expand()
-    assert np.array_equal(t.row_weights(), np.full(ps.r, 3))
-    assert np.array_equal(t.col_weights(), np.full(ps.r, 3))
+    assert is_identity(matmul(dense(wc.weight_ctrl()), dense(wc.weight_ctrl_inv)))
+    t = sk.sparse_map
+    assert np.array_equal(row_weights(t), np.full(ps.r, 3))
+    assert np.array_equal(col_weights(t), np.full(ps.r, 3))
     for i in range(30):
         msg = b"weight-three-%d" % i
         sig, trace = sign_trace(sk, msg)
         mapped = BitVector.from_support(ps.r, sk.map_support(trace.syndrome))
-        assert mapped == t.mul_vec(trace.syndrome)
+        assert mapped == times(t, trace.syndrome)
         assert verify(pk, msg, sig).accepted
 
 # SHA-256 of the key files saved from CANON_SEED. Acceptance 9 compares

@@ -102,6 +102,4 @@ def test_report_text_and_json():
     rep = security_report(get_params("ldgm-80"))
     text = rep.as_text()
     assert "960400" in text and "117" in text
-    as_json = rep.as_json()
-    assert '"name": "ldgm-80"' in as_json
     assert rep.as_dict()["key_size_bits"] == 960400

@@ -20,12 +20,14 @@ from ldgmsig.sign import (
     verify,
 )
 
-from conftest import CANON_SEED
+from conftest import CANON_SEED, bit_grid, times
+from reference import vec_bits
 
 
-def row_supports(g):
-    """The supports of g's rows, in the form PrivateKey.generator_rows has."""
-    return gf2.ColumnSupports(QcMatrix.from_dense(g).transpose())
+def row_supports(rows):
+    """The supports of the rows of a 0/1 array, in the form
+    PrivateKey.generator_rows has."""
+    return gf2.ColumnSupports(bit_grid(rows).transpose())
 
 
 def embed(ps, mapped):
@@ -34,28 +36,28 @@ def embed(ps, mapped):
 
 def private_syndrome(factors, trace):
     """T s, the syndrome the signer pads into e, from the factors' T."""
-    return factors.wc.sparse_map.expand().mul_vec(trace.syndrome)
+    return times(factors.wc.sparse_map, trace.syndrome)
 
 
 def test_padding_decode_satisfies_parity(toy, toy_keys, toy_factors):
     # e = [0_k | s'] reproduces the private syndrome through H = [X | I_r]
     sk, _ = toy_keys
-    h = toy_factors.parity_check.expand()
+    h = toy_factors.parity_check
     for i in range(20):
         _, trace = sign_trace(sk, b"decode-%d" % i)
         mapped = private_syndrome(toy_factors, trace)
         e = embed(toy, mapped)
         assert e.weight() == mapped.weight()
-        assert h.mul_vec(e) == mapped
+        assert times(h, e) == mapped
 
 
 def test_mask_is_a_codeword_with_bounded_weight(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    h_t = toy_factors.parity_check.expand().transpose()
+    h = toy_factors.parity_check
     floor = toy.w_c - 2 * toy.w_g
     for i in range(50):
         _, trace = sign_trace(sk, b"mask-%d" % i)
-        assert h_t.vec_mul(trace.mask).weight() == 0
+        assert times(h, trace.mask).weight() == 0
         assert floor < trace.mask.weight() <= toy.w_c
 
 
@@ -66,11 +68,10 @@ def test_single_row_mask_when_ratio_is_one():
     rows = np.zeros((ps.k, ps.n), dtype=np.uint8)
     for i in range(ps.k):
         rows[i, rng.choice(ps.n, size=ps.w_g, replace=False)] = 1
-    g = DenseMatrix.from_bits(rows)
     s = BitVector.from_support(ps.r, [0, 5])
-    c = _select_rows(row_supports(g), s, 0, ps)[0]
+    c = _select_rows(row_supports(rows), s, 0, ps)[0]
     assert c.weight() == ps.w_g
-    assert any(c == g.row(i) for i in range(ps.k))
+    assert any(np.array_equal(vec_bits(c), row) for row in rows)
 
 
 def test_disjoint_rows_mask_has_full_weight():
@@ -79,9 +80,8 @@ def test_disjoint_rows_mask_has_full_weight():
     rows = np.zeros((4, 12), dtype=np.uint8)
     for i in range(4):
         rows[i, 3 * i : 3 * i + 3] = 1
-    g = DenseMatrix.from_bits(rows)
     for theta in range(4):
-        c = _select_rows(row_supports(g), BitVector.from_support(ps.r, [1, 2]), theta, ps)[0]
+        c = _select_rows(row_supports(rows), BitVector.from_support(ps.r, [1, 2]), theta, ps)[0]
         assert c.weight() == ps.w_c
 
 
@@ -93,9 +93,8 @@ def test_mask_redraw_cap_reported():
     rows[0, [0, 1, 2]] = 1
     rows[1, [3, 4, 5]] = 1
     rows[2, [0, 1, 3]] = 1  # xor of the three has weight 3 = w_c - 2 w_g
-    g = DenseMatrix.from_bits(rows)
     with pytest.raises(SigningError, match=str(REDRAW_CAP)):
-        _select_rows(row_supports(g), BitVector.from_support(ps.r, [0, 1]), 0, ps)[0]
+        _select_rows(row_supports(rows), BitVector.from_support(ps.r, [0, 1]), 0, ps)[0]
 
 
 def test_first_sign_and_verify_expand_no_key_matrix(toy_keys, tmp_path, monkeypatch):
@@ -158,12 +157,12 @@ def test_signature_weight_bound_holds(toy, toy_keys):
 
 def test_private_syndrome_untouched_by_mask(toy, toy_keys, toy_factors):
     sk, _ = toy_keys
-    h = toy_factors.parity_check.expand()
+    h = toy_factors.parity_check
     for i in range(50):
         _, trace = sign_trace(sk, b"invariant-%d" % i)
         mapped = private_syndrome(toy_factors, trace)
         masked = embed(toy, mapped).xor(trace.mask)
-        assert h.mul_vec(masked) == mapped
+        assert times(h, masked) == mapped
 
 
 def test_identity_pipeline_exposes_padded_syndrome(toy, toy_keys, toy_factors):
@@ -273,5 +272,5 @@ def test_verifier_only_needs_public_data(toy, toy_keys):
     msg = b"public data only"
     sig = sign(sk, msg)
     from ldgmsig.keygen import PublicKey
-    stripped = PublicKey(toy, pk.parity_check, DenseMatrix.zeros(toy.z, toy.r))
+    stripped = PublicKey(toy, pk.parity_check, DenseMatrix(toy.z, toy.r))
     assert verify(stripped, msg, sig).accepted
