@@ -194,7 +194,8 @@ def linearity_forge(pk: PublicKey, transcript: SignatureTranscript,
 
 def right_inverse_gram(pk: PublicKey) -> tuple[gf2.ColumnRotations, gf2.ColumnRotations]:
     """What every right-inverse forgery under pk multiplies by, built once
-    from H''s first rows: (H' H'^T)^-1 and H'^T, each as rotated columns.
+    from H''s first rows: (H' H'^T)^-1 and H'^T, each as rotated columns
+    (those of H'^T are the rows of H').
 
     Raises SingularMatrixError when the Gram matrix is singular; the
     caller reports and stops, since other right-inverses exist but this
@@ -202,7 +203,7 @@ def right_inverse_gram(pk: PublicKey) -> tuple[gf2.ColumnRotations, gf2.ColumnRo
     """
     h_t = pk.parity_check.transpose()
     gram = pk.parity_check.multiply(h_t)
-    return gf2.ColumnRotations(gram.invert()), gf2.ColumnRotations(h_t)
+    return gf2.ColumnRotations(gram.invert()), gf2.ColumnRotations.of_rows(pk.parity_check)
 
 
 def right_inverse_forge(pk: PublicKey, message: bytes,

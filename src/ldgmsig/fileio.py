@@ -36,6 +36,7 @@ import numpy as np
 from .gf2 import BitVector, DenseMatrix, QcMatrix
 from .keygen import PrivateKey, PublicKey
 from .params import ParameterError, ParameterSet, get_params
+from .rng import SEED_BYTES
 from .sign import Signature
 
 __all__ = [
@@ -53,7 +54,6 @@ PUBLIC_MAGIC = b"LDGMPK"
 SIGNATURE_MAGIC = b"LDGMSG"
 KEY_VERSION = 2
 SIGNATURE_VERSION = 3
-SEED_BYTES = 32
 
 
 class FormatError(ValueError):

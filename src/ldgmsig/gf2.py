@@ -22,9 +22,9 @@ names.  Tests check it against perfbench/reference.py, which uses numpy
 alone and never imports this module.
 
 A QC matrix times a vector never expands the matrix, and neither does a
-QC x QC product: leading row i of A B is B^T times leading row i of A.
-Each product takes one of two routes, each read straight from the first
-rows and each matched to how dense the vector is:
+QC x QC product.  Each product takes one of two tables, each read
+straight from the first rows and each matched to how dense the vector
+is:
 
 * ColumnRotations, for a dense vector (verify's e' has about n/7
   ones).  Column t of a circulant is its column 0 rotated by t, so
@@ -35,6 +35,14 @@ rows and each matched to how dense the vector is:
   scrambler scatter touch at most m_t w + w_c positions).  A padded
   table lists the rows where each column is 1, so M v^T is one gather
   and one bincount parity over the support of v.
+
+Each table reads M's columns as Table(M) and M's rows, the columns of
+M^T, as Table.of_rows(M), and neither transposes M: M's packed leading
+rows (row 0 of each block row) are M^T's rotated columns as they stand,
+and M's (block row, block column, shift) triples, relabelled
+(bj, bi, -s mod p), are M^T's.  So leading row i of A B is the XOR of
+the rows of B over the support of leading row i of A, and a ring solve
+reads the leading rows of A and B.
 
 Dense Gauss-Jordan elimination (behind invert, rank and solve) holds
 each packed row as one Python int, so a pivot costs one int XOR per row
@@ -82,15 +90,10 @@ def _width(nbits: int) -> int:
     return (nbits + 7) // 8
 
 
-def _tail_mask(nbits: int) -> int:
-    rem = nbits & 7
-    return 0xFF if rem == 0 else (1 << rem) - 1
-
-
 def _mask_tail(data: np.ndarray, nbits: int) -> np.ndarray:
     """Zero any phantom bits beyond nbits in the last byte."""
     if data.shape[-1]:
-        data[..., -1] &= _tail_mask(nbits)
+        data[..., -1] &= 0xFF >> (-nbits & 7)
     return data
 
 
@@ -113,6 +116,14 @@ def _rows_xor(data: np.ndarray, idx) -> np.ndarray:
 def _support(v: BitVector) -> np.ndarray:
     """Sorted positions of the ones of v, as an index array."""
     return _unpack(v.data, v.length).nonzero()[0]
+
+
+def _entries(first_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, s) for each bit s of first_rows[i, j], sorted by i; only
+    nonzero bytes are unpacked, as keys are sparse."""
+    i, j, byte = np.nonzero(first_rows)
+    hit, bit = np.nonzero(_unpack(first_rows[i, j, byte][:, None], 8))
+    return i[hit], j[hit], 8 * byte[hit] + bit
 
 
 class BitVector:
@@ -164,11 +175,8 @@ class BitVector:
         return BitVector(self.length, self.data ^ other.data)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and bool(np.array_equal(self.data, other.data))
-        )
+        return (isinstance(other, BitVector) and self.length == other.length
+                and bool(np.array_equal(self.data, other.data)))
 
     def __hash__(self):
         return hash((self.length, self.data.tobytes()))
@@ -228,11 +236,8 @@ class DenseMatrix:
         return DenseMatrix(n, n, np.ascontiguousarray(work[:, _width(n) :]))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DenseMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and bool(np.array_equal(self.data, other.data))
-        )
+        return (isinstance(other, DenseMatrix) and self.cols == other.cols
+                and bool(np.array_equal(self.data, other.data)))
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols}, weight={self.weight()})"
@@ -280,19 +285,12 @@ def solve(a: DenseMatrix, rhs: BitVector) -> BitVector | None:
     if a.rows != rhs.length:
         raise ShapeError("rhs length does not match row count")
     # rhs bits ride in a dedicated trailing byte per row
-    aug = np.concatenate(
-        [a.data, _pack_bits(_unpack(rhs.data, rhs.length).reshape(-1, 1))], axis=1
-    )
+    aug = np.concatenate([a.data, _unpack(rhs.data, rhs.length)[:, None]], axis=1)
     pivots, rk = _eliminate(aug, a.cols)
-    wbyte = aug.shape[1] - 1
-    for i in range(rk, a.rows):
-        if (aug[i, wbyte] >> 0) & 1:
-            return None
-    x = BitVector(a.cols)
-    for i, col in enumerate(pivots):
-        if (aug[i, wbyte] >> 0) & 1:
-            x.data[col >> 3] |= 1 << (col & 7)
-    return x
+    bits = aug[:, -1]
+    if bits[rk:].any():
+        return None
+    return BitVector.from_support(a.cols, [col for col, bit in zip(pivots, bits) if bit])
 
 
 def _ones(x: int) -> list[int]:
@@ -396,22 +394,21 @@ class QcMatrix:
         for b0 in range(0, self.block_rows, group):
             fr = _unpack(self.first_rows[b0 : b0 + group], p)  # (g, bcols, p)
             bits = fr[:, :, shift].transpose(0, 2, 1, 3)  # [g, t, j, s]
-            out.data[b0 * p : b0 * p + bits.shape[0] * p] = _pack_bits(
-                bits.reshape(-1, self.cols)
-            )
+            out.data[b0 * p : b0 * p + bits.shape[0] * p] = _pack_bits(bits.reshape(-1, self.cols))
         return out
 
     @classmethod
-    def fold_dense_rows(cls, leading: np.ndarray, block_cols: int, p: int) -> "QcMatrix":
-        """Build from packed leading rows (block_rows x ceil(block_cols*p/8))."""
+    def _from_leading(cls, raw: bytes, block_cols: int, p: int) -> "QcMatrix":
+        """The grid whose packed leading rows, concatenated, are raw."""
+        leading = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _width(block_cols * p))
         bits = _unpack(leading, block_cols * p).reshape(leading.shape[0], block_cols, p)
         return cls.grid(*bits.shape, bits=bits)
 
     def add(self, other: "QcMatrix") -> "QcMatrix":
-        self._check_same_grid(other)
-        return QcMatrix(
-            self.block_rows, self.block_cols, self.p, self.first_rows ^ other.first_rows
-        )
+        if (self.p, self.first_rows.shape) != (other.p, other.first_rows.shape):
+            raise ShapeError("grid shapes differ")
+        return QcMatrix(self.block_rows, self.block_cols, self.p,
+                        self.first_rows ^ other.first_rows)
 
     def transpose(self) -> "QcMatrix":
         rev = -np.arange(self.p) % self.p
@@ -419,18 +416,19 @@ class QcMatrix:
         return QcMatrix.grid(*bits.shape, bits=bits)
 
     def multiply(self, other: "QcMatrix") -> "QcMatrix":
-        """A B from the leading rows: row bi*p of A B is B^T times row
-        bi*p of A, summed from the rotated columns of B^T."""
+        """A B: its leading row i XORs the rows of B over A's leading row i."""
         if self.p != other.p:
             raise ShapeError(f"block sizes {self.p} and {other.p}")
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        columns = ColumnRotations(other.transpose())
-        lead_bits = _unpack(self.first_rows, self.p).reshape(self.block_rows, self.cols)
-        leading = np.frombuffer(b"".join(
-            columns.sum_bytes(np.flatnonzero(row).tolist()) for row in lead_bits
-        ), dtype=np.uint8).reshape(self.block_rows, _width(other.cols))
-        return QcMatrix.fold_dense_rows(leading, other.block_cols, self.p)
+        return other._sum_rows(np.flatnonzero(_unpack(row, self.p)).tolist()
+                               for row in self.first_rows)
+
+    def _sum_rows(self, supports) -> "QcMatrix":
+        """The grid whose leading row i XORs the rows of self in the i-th support."""
+        rows = ColumnRotations.of_rows(self)
+        return QcMatrix._from_leading(b"".join(rows.sum_bytes(sup) for sup in supports),
+                                      self.block_cols, self.p)
 
     def rank(self) -> int:
         return self.expand().rank()
@@ -452,16 +450,18 @@ class QcMatrix:
         substitution clears A's upper triangle on B's fields alone.  Each
         pivot row's multiples are tabulated per 4 bits of the multiplier.
         Row 0 of A times the result is checked against B's.  A permutation
-        of circulant shifts needs no elimination: A^-1 = A^T.
+        of circulant shifts needs no elimination: where block (i, j) of A
+        is x^s, block row j of A^-1 B is block row i of B times x^-s,
+        which is row i*p + (-s mod p) of B.
         """
         n0, m0, p = self.block_rows, rhs.block_cols, self.p
         if self.block_cols != n0 or (rhs.block_rows, rhs.p) != (n0, p):
             raise ShapeError(f"cannot solve {self!r} against {rhs!r}")
-        fr = self.first_rows
-        if np.count_nonzero(fr) == n0:  # A^-1 = A^T for a shift permutation
-            bi, bj, byte = np.nonzero(fr)
-            if np.bitwise_count(fr[bi, bj, byte]).max() == 1 and len(set(bi)) == len(set(bj)) == n0:
-                return self.transpose().multiply(rhs)
+        if np.count_nonzero(self.first_rows) == n0:  # maybe a shift permutation
+            bi, bj, s = _entries(self.first_rows)
+            if bi.size == n0 and len(set(bi.tolist())) == len(set(bj.tolist())) == n0:
+                rows = (bi * p + (-s % p))[np.argsort(bj)]
+                return rhs._sum_rows([[row] for row in rows.tolist()])
         field, modulus = (1 << p) - 1, (1 << p) | 1
         masks = _field_masks((n0 + m0) * p, p)
 
@@ -495,9 +495,7 @@ class QcMatrix:
                 k += 1
             return acc
 
-        lead_a, lead_b = ([int.from_bytes(row.tobytes(), "little") for row in
-                           _pack_bits(_unpack(m.first_rows, p).reshape(n0, m.cols))]
-                          for m in (self, rhs))
+        lead_a, lead_b = (ColumnRotations.of_rows(m).columns for m in (self, rhs))
         rows = [a | b << (n0 * p) for a, b in zip(lead_a, lead_b)]
         for c in range(n0):
             for j in range(c + 1, n0 + 1):
@@ -535,30 +533,16 @@ class QcMatrix:
             check ^= times((lead_a[0] >> (c * p)) & field, solved[c])
         if check != lead_b[0]:
             raise AssertionError("leading row 0 of A A^-1 B is not that of B")
-        leading = b"".join(row.to_bytes(_width(m0 * p), "little") for row in solved)
-        return QcMatrix.fold_dense_rows(np.frombuffer(leading, np.uint8).reshape(n0, -1), m0, p)
-
-    def _check_same_grid(self, other):
-        if (self.block_rows, self.block_cols, self.p) != (
-            other.block_rows,
-            other.block_cols,
-            other.p,
-        ):
-            raise ShapeError("grid shapes differ")
+        return QcMatrix._from_leading(
+            b"".join(row.to_bytes(_width(m0 * p), "little") for row in solved), m0, p)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QcMatrix)
-            and (self.block_rows, self.block_cols, self.p)
-            == (other.block_rows, other.block_cols, other.p)
-            and bool(np.array_equal(self.first_rows, other.first_rows))
-        )
+        return (isinstance(other, QcMatrix) and self.p == other.p
+                and bool(np.array_equal(self.first_rows, other.first_rows)))
 
     def __repr__(self):
-        return (
-            f"QcMatrix({self.rows}x{self.cols}, p={self.p}, "
-            f"grid={self.block_rows}x{self.block_cols})"
-        )
+        return (f"QcMatrix({self.rows}x{self.cols}, p={self.p}, "
+                f"grid={self.block_rows}x{self.block_cols})")
 
 
 class ColumnRotations:
@@ -576,11 +560,20 @@ class ColumnRotations:
     """
 
     def __init__(self, m: QcMatrix):
-        p, bc = m.p, m.block_cols
-        self.rows, self.cols, self.p = m.rows, m.cols, p
-        col0 = _unpack(m.first_rows, p)[:, :, -np.arange(p) % p]  # (br, bc, p)
-        stacked = _pack_bits(col0.transpose(1, 0, 2).reshape(bc, self.rows))
-        self.columns = [int.from_bytes(row.tobytes(), "little") for row in stacked]
+        col0 = _unpack(m.first_rows, m.p)[:, :, -np.arange(m.p) % m.p]  # (br, bc, p)
+        self._index(m.p, col0.transpose(1, 0, 2).reshape(m.block_cols, m.rows))
+
+    @classmethod
+    def of_rows(cls, m: QcMatrix) -> "ColumnRotations":
+        """The table of M^T, whose column 0s are M's leading rows."""
+        table = cls.__new__(cls)
+        table._index(m.p, _unpack(m.first_rows, m.p).reshape(m.block_rows, m.cols))
+        return table
+
+    def _index(self, p, col0):
+        """From the 0/1 column 0 of each block column, one row each."""
+        self.p, self.rows, self.cols = p, col0.shape[1], col0.shape[0] * p
+        self.columns = [int.from_bytes(row.tobytes(), "little") for row in _pack_bits(col0)]
         self.masks = _field_masks(self.rows, p)
 
     def sum_bytes(self, support) -> bytes:
@@ -617,16 +610,24 @@ class ColumnSupports:
     """
 
     def __init__(self, m: QcMatrix):
-        p = m.p
-        self.rows, self.cols = m.rows, m.cols
-        # unpack only the nonzero bytes of the first rows: keys are sparse
-        bj, bi, byte = np.nonzero(m.first_rows.transpose(1, 0, 2))
-        hit, bit = np.nonzero(_unpack(m.first_rows[bi, bj, byte][:, None], 8))
-        bj, bi, s = bj[hit], bi[hit], 8 * byte[hit] + bit
-        counts = np.bincount(bj, minlength=m.block_cols)
+        bj, bi, s = _entries(m.first_rows.transpose(1, 0, 2))
+        self._index(m.block_rows, m.block_cols, m.p, bi, bj, s)
+
+    @classmethod
+    def of_rows(cls, m: QcMatrix) -> "ColumnSupports":
+        """The table of M^T, from M's triples relabelled (bj, bi, -s mod p)."""
+        table = cls.__new__(cls)
+        bi, bj, s = _entries(m.first_rows)
+        table._index(m.block_cols, m.block_rows, m.p, bj, bi, -s % m.p)
+        return table
+
+    def _index(self, block_rows, block_cols, p, bi, bj, s):
+        """From triples (bi, bj, s) sorted by block column bj."""
+        self.rows, self.cols = block_rows * p, block_cols * p
+        counts = np.bincount(bj, minlength=block_cols)
         slot = np.arange(bj.size) - np.repeat(np.cumsum(counts) - counts, counts)
         t = np.arange(p)
-        self.table = np.full((m.cols, counts.max(initial=0)), m.rows, dtype=np.int32)
+        self.table = np.full((self.cols, counts.max(initial=0)), self.rows, dtype=np.int32)
         self.table[bj[:, None] * p + t, slot[:, None]] = bi[:, None] * p + (t - s[:, None]) % p
 
     def sum_columns(self, idx) -> np.ndarray:

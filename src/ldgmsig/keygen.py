@@ -141,10 +141,10 @@ class PrivateKey:
         self._map_cols = None
 
     def generator_rows(self) -> gf2.ColumnSupports:
-        """Supports of the rows of G (the columns of G^T), built on first
-        use from G's first rows; the mask is the XOR of a few rows."""
+        """Supports of the rows of G, built on first use from G's first
+        rows; the mask is the XOR of a few rows."""
         if self._gen_rows is None:
-            self._gen_rows = gf2.ColumnSupports(self.generator.transpose())
+            self._gen_rows = gf2.ColumnSupports.of_rows(self.generator)
         return self._gen_rows
 
     def scrambler_columns(self) -> gf2.ColumnSupports:
@@ -348,34 +348,46 @@ def _full_cycle(sub, size):
     return rho.tolist()
 
 
-def _sample_scrambler(ps, sub):
-    """S = I + m_s - 1 layers along the powers of one n0-cycle rho.
+def _layer_exponents(ps) -> list[int]:
+    """J, the powers of rho that S's layers follow: 0, ..., m_s - 1 where
+    the screen passes, else with the top one replaced by the smallest
+    e >= m_s that passes.
 
     Mapping each circulant to its weight mod 2 sends S to
-    S(1) = f(P_rho), f = 1 + y + ... + y^(m_s - 1), less one entry for
-    even m_s: a rank-1 change.  f(P_rho) has nullity
-    deg gcd(f, y^n0 - 1), so when that exceeds 1 (even m_s) or 0 (odd
-    m_s), no draw of S is invertible and none is made.
+    S(1) = f(P_rho), f the sum of y^j over J, less one entry for even
+    m_s: a rank-1 change.  f(P_rho) has nullity deg gcd(f, y^n0 - 1), so
+    when that exceeds 1 (even m_s) or 0 (odd m_s), no draw of S is
+    invertible.  If no e below n0 passes, keygen refuses before the
+    first draw.
     """
-    drop_last = ps.m_s % 2 == 0
-    size = ps.n0
+    size, drop_last = ps.n0, ps.m_s % 2 == 0
     if ps.m_s > size:
         raise KeyGenerationError("scrambler weight exceeds block count")
-    nullity = gf2._poly_xgcd((1 << ps.m_s) - 1, (1 << size) | 1)[0].bit_length() - 1
-    if nullity > drop_last:
-        raise KeyGenerationError(
-            f"scrambler is singular for every draw: m_s = {ps.m_s} makes "
-            f"1 + y + ... + y^{ps.m_s - 1} share a degree-{nullity} factor "
-            f"with y^{size} - 1")
+    low = (1 << (ps.m_s - 1)) - 1  # 1 + y + ... + y^(m_s - 2)
+    for e in range(ps.m_s - 1, size):
+        nullity = gf2._poly_xgcd(low | 1 << e, (1 << size) | 1)[0].bit_length() - 1
+        if nullity <= drop_last:
+            return [*range(ps.m_s - 1), e]
+    raise KeyGenerationError(
+        f"scrambler is singular for every draw: with m_s = {ps.m_s}, every "
+        f"1 + y + ... + y^{ps.m_s - 2} + y^e shares a factor with y^{size} - 1")
+
+
+def _sample_scrambler(ps, sub):
+    """S = I + m_s - 1 layers along the powers J of one n0-cycle rho
+    (_layer_exponents)."""
+    exponents = _layer_exponents(ps)
+    size = ps.n0
     rho = _full_cycle(sub, size)
     # layer 0 is the identity; layer j puts row i's one in block column
     # rho^j(i) at a drawn shift
+    entries = [(i, i, 0) for i in range(size)]
     cur = list(range(size))
-    entries = [(i, i, 0) for i in cur]
-    for _ in range(1, ps.m_s):
-        cur = [rho[c] for c in cur]
+    for step in np.diff(exponents).tolist():
+        for _ in range(step):
+            cur = [rho[c] for c in cur]
         entries += [(i, cur[i], sub.below(ps.p)) for i in range(size)]
-    if drop_last:  # the last layer's entry in row 0, its shift drawn all the same
+    if ps.m_s % 2 == 0:  # the last layer's entry in row 0, its shift drawn all the same
         del entries[-size]
     return QcMatrix.grid(size, size, ps.p, entries)
 

@@ -10,9 +10,10 @@ A parameter set fixes the code geometry and the signing weights:
 * z: number of parity constraints carried by the public matrix b
   (the rank bound of the dense summand of the weight-control matrix);
 * m_t, m_s: row/column weights of the sparse transform and scrambler;
-* x, y: digest and counter widths of the syndrome map;
-* d: minimum distance of the code whose parity-check is b (enforced
-  >= 2 by forbidding all-zero columns of b).
+* x, y: digest and counter widths of the syndrome map.
+
+Keygen draws b with no all-zero column, so no weight-1 syndrome is
+orthogonal to b, and validate() requires w >= 2.
 
 The derived metrics reported here: public key size r*n/p bits, the
 signature count N_s ~ C(r,w)/2^z, the low-weight codeword count
@@ -62,7 +63,6 @@ class ParameterSet:
     m_s: int
     x: int
     y: int
-    d: int = 2
 
     @property
     def r(self) -> int:
@@ -107,10 +107,8 @@ class ParameterSet:
             raise ParameterError(f"{ps.name}: mask needs more rows than the code has")
         if ps.w > ps.r:
             raise ParameterError(f"{ps.name}: syndrome weight {ps.w} exceeds r={ps.r}")
-        if ps.d < 2:
-            raise ParameterError(f"{ps.name}: d must be at least 2")
-        if ps.w < ps.d:
-            raise ParameterError(f"{ps.name}: w={ps.w} below the distance floor d={ps.d}")
+        if ps.w < 2:
+            raise ParameterError(f"{ps.name}: w={ps.w} is below 2, and b has no zero column")
         if math.comb(ps.r, ps.w) < 1 << (ps.x + ps.y):
             raise ParameterError(
                 f"{ps.name}: C({ps.r},{ps.w}) cannot host a {ps.x}+{ps.y}-bit index"

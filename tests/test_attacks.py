@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from ldgmsig import attacks, gf2
 from ldgmsig.attacks import (
-    AttackOutcome,
     SignatureTranscript,
     build_permutation_keypair,
     isd_codeword_strip,
@@ -35,7 +34,7 @@ from ldgmsig.params import get_params
 from ldgmsig.rng import HashStream
 from ldgmsig.sign import _sign_syndrome, sign_trace, verify
 
-from conftest import CANON_SEED, GRAM_SEED, bit_grid, times
+from conftest import CANON_SEED, bit_grid, times
 from reference import dense, matmul, rank, vec_bits
 
 ATTACK_SEED = bytes(range(31, -1, -1))

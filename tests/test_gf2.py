@@ -162,13 +162,13 @@ def test_qc_invert_agrees_with_dense(p):
 
 
 def test_qc_mul_vec_agrees_with_dense():
-    # M v^T and u M from the rotated columns of M and of M^T
+    # M v^T and u M from the rotated columns of M and the rows of M
     rng = np.random.default_rng(30)
     a = random_qc(rng, 3, 5, 4)
     v = BitVector.from_support(20, [0, 7, 13, 19])
     assert gf2.ColumnRotations(a).mul_vec(v) == times(a, v)
     u = BitVector.from_support(12, [2, 11])
-    assert np.array_equal(vec_bits(gf2.ColumnRotations(a.transpose()).mul_vec(u)),
+    assert np.array_equal(vec_bits(gf2.ColumnRotations.of_rows(a).mul_vec(u)),
                           matmul(vec_bits(u), dense(a)))
 
 
@@ -528,9 +528,6 @@ def test_rotated_columns_multiply_like_expanded(m, data):
     support = v.support()
     want = BitVector.from_support(m.rows, np.flatnonzero(table.times(support[2:])))
     assert rotations.sum_bytes(support + support[:2]) == want.to_bytes()
-    u = draw_vector(data, m.rows)
-    assert np.array_equal(vec_bits(gf2.ColumnRotations(m.transpose()).mul_vec(u)),
-                          matmul(vec_bits(u), dense(m)))
     assert np.array_equal(dense(m.multiply(m.transpose())), matmul(dense(m), dense(m).T))
 
 
@@ -543,6 +540,34 @@ def test_column_supports_sum_like_expanded(m, data):
     # a repeated column cancels, as e and c overlapping do in the signer
     want = bits[:, np.asarray(idx, dtype=np.intp)].sum(axis=1) & 1
     assert np.array_equal(gf2.ColumnSupports(m).sum_columns(idx), want)
+
+
+@given(qc_grids(), st.data())
+def test_row_readers_read_the_rows(m, data):
+    # of_rows(M) is the table of M^T, whose column j is row j of M, so
+    # summing its columns over the support of u gives u M
+    u = draw_vector(data, m.rows)
+    want = matmul(dense(m).T, vec_bits(u))
+    rotations = gf2.ColumnRotations.of_rows(m)
+    assert (rotations.rows, rotations.cols) == (m.cols, m.rows)
+    assert np.array_equal(vec_bits(rotations.mul_vec(u)), want)
+    supports = gf2.ColumnSupports.of_rows(m)
+    assert (supports.rows, supports.cols) == (m.cols, m.rows)
+    assert np.array_equal(supports.sum_columns(u.support()), want)
+
+
+@given(st.sampled_from([1, 3, 4, 50, 64, 65]), st.integers(1, 5), st.integers(1, 3),
+       st.data())
+def test_solve_on_a_shift_permutation_is_the_transpose(p, n0, m0, data):
+    # A^-1 = A^T for a permutation of circulant shifts, with no elimination
+    sigma = data.draw(st.permutations(range(n0)))
+    shifts = data.draw(st.lists(st.integers(0, p - 1), min_size=n0, max_size=n0))
+    a = QcMatrix.grid(n0, n0, p, [(i, sigma[i], s) for i, s in enumerate(shifts)])
+    b = random_qc(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), n0, m0, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_poly_xgcd", None)
+        x = a.solve(b)
+    assert np.array_equal(dense(x), matmul(dense(a).T, dense(b)))
 
 
 @given(qc_grids(), st.sampled_from([1, 300, gf2.EXPAND_GROUP_BITS]))

@@ -19,9 +19,9 @@ from ldgmsig.keygen import (
     generate_systematic,
     generate_weight_control,
 )
-from ldgmsig.params import ParameterSet
+from ldgmsig.params import ParameterSet, get_params
 from ldgmsig.rng import HashStream
-from ldgmsig.sign import sign, sign_trace, verify
+from ldgmsig.sign import sign_trace, verify
 
 from conftest import CANON_SEED, DENSE_SET, Z2_SET, bit_grid, key_factors, times
 from reference import col_weights, dense, matmul, rank, row_weights
@@ -300,7 +300,9 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
 # S(1) = f(P_rho) with f = 1 + y + ... + y^(m_s - 1) over one n0-cycle,
 # less one entry for even m_s, has nullity at least
 # deg gcd(f, y^n0 - 1) - [m_s even]: deg gcd is 1, 0, 3, 0, 1, 6, 4, 0 for
-# m_s = 2..9 at n0 = 28 and 1, 2, 3, 0, 5, 0, 7, 2 at n0 = 48
+# m_s = 2..9 at n0 = 28 and 1, 2, 3, 0, 5, 0, 7, 2 at n0 = 48.  Where
+# that screens f out (singular), the top layer moves to the smallest
+# power of rho above m_s - 1 that passes, and S is drawn as usual.
 @pytest.mark.parametrize("ps, m_s, singular", [
     (DENSE_SET, 2, False), (DENSE_SET, 3, False), (DENSE_SET, 4, True),
     (DENSE_SET, 5, False), (DENSE_SET, 6, False), (DENSE_SET, 7, True),
@@ -309,18 +311,40 @@ def test_sparse_map_weight_screened_before_drawing(ps, m_t, singular):
     (Z2_SET, 5, False), (Z2_SET, 6, True), (Z2_SET, 7, False),
     (Z2_SET, 8, True), (Z2_SET, 9, True),
 ], ids=lambda v: getattr(v, "name", v))
-def test_scrambler_weight_screened_before_drawing(ps, m_s, singular, monkeypatch):
+def test_scrambler_weight_screened_before_drawing(ps, m_s, singular):
     heavy = dataclasses.replace(ps, m_s=m_s).validate()
-    if singular:
-        drawn = []
-        monkeypatch.setattr(keygen, "_full_cycle", lambda *args: drawn.append(args))
-        with pytest.raises(KeyGenerationError, match="singular for every draw"):
-            scrambler_inverse(heavy, HashStream(CANON_SEED))
-        assert drawn == []
-        return
+    exponents = keygen._layer_exponents(heavy)
+    assert exponents[:-1] == list(range(m_s - 1))
+    assert (exponents[-1] > m_s - 1) == singular
     scrambler, scrambler_inv = scrambler_inverse(heavy, HashStream(CANON_SEED))
     assert is_identity(matmul(dense(scrambler), dense(scrambler_inv)))
     assert col_weights(scrambler).max() <= m_s
+
+
+# every key of these sets keeps the layers 0, ..., m_s - 1, and so its
+# bytes; ldgm-160's 1 + ... + y^19 shares a degree-19 factor with
+# y^460 - 1, and 1 + ... + y^18 + y^20 only y + 1
+@pytest.mark.parametrize("ps", [
+    *(get_params(name) for name in ("ldgm-80", "ldgm-120", "toy-1")),
+    DENSE_SET, Z2_SET, Z2_ODD,
+], ids=lambda ps: ps.name)
+def test_layer_exponents_kept_where_the_screen_passes(ps):
+    assert keygen._layer_exponents(ps) == list(range(ps.m_s))
+
+
+def test_ldgm160_layers_replace_the_top_exponent():
+    assert keygen._layer_exponents(get_params("ldgm-160")) == [*range(19), 20]
+
+
+def test_scrambler_refused_before_drawing_when_no_exponent_passes(monkeypatch):
+    # n0 = 3, m_s = 3: the only candidate is 1 + y + y^2, a factor of y^3 - 1
+    ps = ParameterSet("three-blocks", n=6, k=2, p=2, w=2, w_g=2, w_c=2,
+                      z=1, m_t=1, m_s=3, x=1, y=1).validate()
+    drawn = []
+    monkeypatch.setattr(keygen, "_full_cycle", lambda *args: drawn.append(args))
+    with pytest.raises(KeyGenerationError, match="singular for every draw"):
+        scrambler_inverse(ps, HashStream(CANON_SEED))
+    assert drawn == []
 
 
 def _singular(*args):

@@ -83,8 +83,7 @@ def test_validation_rejections():
         tweak(base, w_g=4),          # w_g must divide w_c
         tweak(base, w_c=60),         # more mask rows than code rows
         tweak(base, w=13),           # syndrome weight beyond r
-        tweak(base, d=1),            # distance floor starts at 2
-        tweak(base, w=2, d=3),       # w below the distance floor
+        tweak(base, w=1, x=2, y=1),  # w below 2: b has no zero column
         tweak(base, x=8, y=8),       # C(12,2) cannot host 16 index bits
     ]
     for ps in bad:

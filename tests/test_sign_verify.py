@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ldgmsig import fileio, gf2
-from ldgmsig.digest import CounterExhausted, digest_message, map_to_syndrome
+from ldgmsig.digest import CounterExhausted
 from ldgmsig.gf2 import BitVector, DenseMatrix, QcMatrix
 from ldgmsig.keygen import PrivateKey, assemble_from_parts
 from ldgmsig.params import ParameterSet
@@ -27,7 +27,7 @@ from reference import vec_bits
 def row_supports(rows):
     """The supports of the rows of a 0/1 array, in the form
     PrivateKey.generator_rows has."""
-    return gf2.ColumnSupports(bit_grid(rows).transpose())
+    return gf2.ColumnSupports.of_rows(bit_grid(rows))
 
 
 def embed(ps, mapped):
@@ -99,17 +99,21 @@ def test_mask_redraw_cap_reported():
 
 def test_first_sign_and_verify_expand_no_key_matrix(toy_keys, tmp_path, monkeypatch):
     # sign and verify read the quasi-cyclic first rows: a freshly loaded
-    # key pair signs and verifies without one dense expansion
+    # key pair signs and verifies without one dense expansion, and the
+    # signer reads G's rows without transposing it
     sk, pk = toy_keys
     fileio.save_private_key(tmp_path / "toy.sk", sk)
     fileio.save_public_key(tmp_path / "toy.pk", pk)
-    expanded = []
-    expand = QcMatrix.expand
-    monkeypatch.setattr(QcMatrix, "expand",
-                        lambda self: expanded.append(self) or expand(self))
+    calls = {"expand": [], "transpose": []}
+    for name, seen in calls.items():
+        def counted(self, seen=seen, method=getattr(QcMatrix, name)):
+            seen.append(self)
+            return method(self)
+        monkeypatch.setattr(QcMatrix, name, counted)
     sig = sign(fileio.load_private_key(tmp_path / "toy.sk"), b"fresh key")
+    assert calls["transpose"] == []
     assert verify(fileio.load_public_key(tmp_path / "toy.pk"), b"fresh key", sig).accepted
-    assert expanded == []
+    assert calls == {"expand": [], "transpose": []}
 
 
 def test_sign_is_deterministic(toy_keys):
